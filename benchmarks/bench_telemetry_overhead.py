@@ -28,6 +28,7 @@ import argparse
 import random
 
 from _harness import best_of_interleaved, rate, write_bench_json
+from bench_plane_ladder import ladder_registers
 from repro.backends import available_backends, get_backend, numpy_available
 from repro.curves import curve_by_name
 from repro.curves.formulas import ladder_step_program
@@ -47,18 +48,7 @@ COMMIT_PR = 8
 
 def _compiled_ladder(backend, curve, base_x, scalars):
     """The fused-formula ladder loop: one ``run_arrays`` call per step."""
-    executor = backend.ir_executor()
-    compiled = executor.compile(ladder_step_program(curve))
-    count = len(base_x)
-    base = executor.pack(base_x).array
-    x1 = executor.pack([1] * count).array
-    z1 = executor.pack([0] * count).array
-    x2 = base.copy()
-    z2 = x1.copy()
-    for bit_index in range(max(s.bit_length() for s in scalars) - 1, -1, -1):
-        mask = executor.broadcast_bits([(s >> bit_index) & 1 for s in scalars])
-        x1, z1, x2, z2 = compiled.run_arrays((x1, z1, x2, z2, base), (mask,))
-    return tuple(executor.unpack(executor.vector(a, count)) for a in (x1, z1, x2, z2))
+    return ladder_registers(backend.ir_executor(), ladder_step_program(curve), base_x, scalars)
 
 
 def _run_with_metrics(enabled, backend, curve, base_x, scalars):

@@ -18,13 +18,11 @@ the CLI — select a substrate by name instead of hard-coding a call path:
   gather/scatter evaluation (:class:`BitslicedNetlist`): 64+ batch lanes
   per word op, ~9× the scalar reference at GF(2^163)/batch-2048.
   Requires the optional numpy dependency (``gf2m-repro[bitslice]``).
-  It is also the one backend with the *plane-resident* capability: whole
-  formulas traced as :class:`FieldIR` (:mod:`repro.backends.ir`) compile
-  through its :class:`PlaneIRExecutor` into fused plane passes —
+  Its :class:`PlaneIRExecutor` compiles whole formulas traced as
+  :class:`FieldIR` (:mod:`repro.backends.ir`) into fused plane passes —
   lane-stacked netlist products, merged gather/XOR linear stages, masked
   selects — so consumers pack a batch into a :class:`PlaneVector` once,
-  execute the compiled formula per step, and unpack once; the batched
-  curve ladder rides on this for ~3× the per-step batch path.
+  execute the compiled formula per step, and unpack once.
 * ``native`` (:class:`NativeBackend`) — the compiled word-level tier
   (:mod:`repro.backends.native`): a C kernel doing 64-bit carry-less
   multiplication (PCLMULQDQ when the CPU has it) plus sparse tail
@@ -35,6 +33,11 @@ the CLI — select a substrate by name instead of hard-coding a call path:
   per-field default whenever the extension is importable; degrades to a
   clear :class:`ImportError` (and the registry falls back to ``engine``)
   when no C compiler is available.
+
+Every backend has a FieldIR executor
+(:meth:`FieldBackend.ir_executor`): python and engine get the
+:class:`InterpretingIRExecutor`, which runs :func:`execute_program` over
+their batch ops, so the curve ladders run one loop on every backend.
 
 Selection: explicit ``backend=`` arguments (a name or an instance)
 anywhere batch APIs are exposed, the ``--backend`` CLI flag, or the
@@ -64,6 +67,7 @@ from .native import (
 from .ir import (
     FieldIR,
     FieldProgram,
+    InterpretingIRExecutor,
     IRBuilder,
     cached_program,
     execute_program,
@@ -71,7 +75,6 @@ from .ir import (
 )
 from .planes import (
     CompiledPlaneIR,
-    PlaneCompute,
     PlaneIRExecutor,
     PlaneProgram,
     PlaneVector,
@@ -104,12 +107,12 @@ __all__ = [
     "native_available",
     "FieldIR",
     "FieldProgram",
+    "InterpretingIRExecutor",
     "IRBuilder",
     "cached_program",
     "execute_program",
     "schedule_program",
     "CompiledPlaneIR",
-    "PlaneCompute",
     "PlaneIRExecutor",
     "PlaneProgram",
     "PlaneVector",

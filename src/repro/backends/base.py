@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, List, Sequence
 
 from ..galois.pentanomials import type_ii_parameters
 from ..telemetry import metrics as _metrics
+from .ir import InterpretingIRExecutor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..galois.field import GF2mField
@@ -69,20 +70,11 @@ class BackendCapabilities:
     min_efficient_batch:
         The batch size from which the backend typically overtakes the
         scalar reference; below it the ``python`` backend usually wins.
-    plane_resident:
-        Whether the backend can keep whole algorithms in its packed plane
-        representation (:meth:`FieldBackend.ir_executor` returns a
-        :class:`~repro.backends.planes.PlaneIRExecutor`): consumers trace
-        their formula as a :class:`~repro.backends.ir.FieldIR`, compile it
-        once, pack operands once, run every step as fused plane passes, and
-        unpack once — the batched Montgomery ladder uses this to skip
-        ~2·m transposes per scalar multiplication.
     """
 
     vectorized: bool
     compiled: bool
     min_efficient_batch: int
-    plane_resident: bool = False
 
 
 class FieldBackend(ABC):
@@ -166,27 +158,16 @@ class FieldBackend(ABC):
         return inverses
 
     def ir_executor(self):
-        """The backend's FieldIR plane executor, or ``None`` when absent.
+        """The backend's FieldIR executor.
 
-        Backends whose packed representation supports whole plane-resident
-        formulas (:attr:`BackendCapabilities.plane_resident`) return a
-        :class:`~repro.backends.planes.PlaneIRExecutor`, which compiles
-        scheduled :class:`~repro.backends.ir.FieldProgram` s into fused
-        plane passes.  The scalar and big-integer engine backends report
-        the capability absent; consumers then interpret the same program
-        per step through :func:`repro.backends.ir.execute_program`.
+        Every backend has one, so a curve formula runs through a single
+        loop: pack once, ``compile(program).run_arrays`` per step, unpack
+        once.  This base version is the
+        :class:`~repro.backends.ir.InterpretingIRExecutor`, which runs
+        :func:`~repro.backends.ir.execute_program` over this backend's batch
+        ops; bitslice and native override it with compiled lowerings.
         """
-        return None
-
-    def plane_compute(self):
-        """Deprecated: the op-by-op plane capability, or ``None`` when absent.
-
-        Superseded by :meth:`ir_executor` — the returned
-        :class:`~repro.backends.planes.PlaneCompute` survives only as a
-        shim whose operation methods emit ``DeprecationWarning`` and
-        delegate to single-op FieldIR programs.
-        """
-        return None
+        return InterpretingIRExecutor(self)
 
     # ----------------------------------------------------------- introspection
     def describe(self) -> str:

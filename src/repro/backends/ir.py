@@ -1,13 +1,9 @@
 """FieldIR: one straight-line formula compiler for batched GF(2^m) compute.
 
-PR 5 made the Montgomery ladder plane-resident, but every step still issued
-~10 separate passes through :class:`~repro.backends.planes.PlaneCompute` —
-two lane-stacked multiplies, six squaring programs, XORs and masked selects
-— each paying numpy dispatch, scratch traffic and Python call overhead.
-This module generalizes the single-linear-map ``PlaneProgram`` idea into a
-small straight-line **IR over batched field ops**, so a whole formula (the
-entire López-Dahab step, the y-recovery, the curve-equation residual) is
-expressed *once* and compiled *once*:
+A curve formula (the entire López-Dahab step, the y-recovery, the
+curve-equation residual) is a short straight-line program over batched
+field ops.  This module is its **IR**: the formula is expressed *once*,
+scheduled *once* into fused passes, and handed to the backend's executor:
 
 * :class:`IRBuilder` traces a formula into a :class:`FieldIR` — SSA ops
   ``mul`` / ``square`` / ``apply_linear`` / ``xor`` / ``select`` /
@@ -23,15 +19,18 @@ expressed *once* and compiled *once*:
   netlist evaluation, every :class:`LinearPass` merges all its linear/XOR
   work into **one** gather/XOR schedule, every :class:`SelectPass` applies
   one broadcast lane mask to all its register swaps.
-* The scheduled :class:`FieldProgram` is backend-neutral.  Two executors
-  exist today: :func:`execute_program` interprets the passes over plain
-  ``int`` batches through any :class:`~repro.backends.base.FieldBackend`
-  (gathering each MulPass into a single ``multiply_batch`` call), and
-  plane-capable backends lower it through
-  :meth:`~repro.backends.base.FieldBackend.ir_executor` into fused uint64
-  plane passes (:class:`~repro.backends.planes.PlaneIRExecutor`).  A new
-  substrate (native, GPU) implements one executor, not five ad-hoc plane
-  ops.
+* The scheduled :class:`FieldProgram` is backend-neutral.  Every backend
+  runs it through one executor, returned by
+  :meth:`~repro.backends.base.FieldBackend.ir_executor`: bitslice lowers
+  it into fused uint64 plane passes
+  (:class:`~repro.backends.planes.PlaneIRExecutor`), native into one C
+  instruction stream (:class:`~repro.backends.native.NativeIRExecutor`),
+  and the python/engine backends get :class:`InterpretingIRExecutor`,
+  which runs :func:`execute_program` over the backend's batch ops
+  (gathering each MulPass into a single ``multiply_batch`` call).  All
+  three share one surface, so the curve layer has one loop per formula.
+  :func:`execute_program` is also the reference the parity harness
+  compares the compiled executors against.
 
 Scheduled programs are memoized process-wide by their ``key`` (see
 :func:`cached_program`), mirroring the multiplier and netlist caches, so
@@ -40,6 +39,7 @@ repeated curve or backend constructions never re-schedule a formula.
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..pipeline.store import LRUCache
@@ -58,6 +58,7 @@ __all__ = [
     "schedule_program",
     "cached_program",
     "execute_program",
+    "InterpretingIRExecutor",
 ]
 
 # Op kinds.  input/mask/const feed the program; mul is the only op that
@@ -387,9 +388,8 @@ class FieldProgram:
     def describe(self) -> str:
         """Structural summary: op counts, fused-pass schedule, stage shapes.
 
-        This replaces the ad-hoc ``PlaneProgram.describe`` /
-        ``PlaneCompute.describe`` strings as the introspection surface the
-        CLI exposes (``repro bench --backend bitslice --describe``).
+        The introspection surface the CLI exposes (``repro bench
+        --describe``).
         """
         counts = self.ir.op_counts()
         ops = ", ".join(f"{counts[kind]} {kind}" for kind in sorted(counts))
@@ -591,8 +591,9 @@ def execute_program(
     ladder gather used to do, now derived from the formula), linear ops
     apply their (chain-collapsed) byte-table maps per element, and selects
     pick per lane from the 0/1 mask streams.  Works on *every* registered
-    backend — it is the executor of plane-incapable substrates and the
-    cross-check twin of the compiled plane path.
+    backend — :class:`InterpretingIRExecutor` wraps it for the python and
+    engine backends, and the parity harness compares the compiled
+    executors against it.
     """
     ir = program.ir
     values: List[Optional[List[int]]] = [None] * program.op_count
@@ -646,3 +647,89 @@ def execute_program(
                     for s, c, bit in zip(values[set_vid], values[clear_vid], bits)
                 ]
     return {name: values[vid] for name, vid in ir.outputs}
+
+
+class InterpretingIRExecutor:
+    """The FieldIR executor of backends without a compiled lowering.
+
+    Same surface as :class:`~repro.backends.planes.PlaneIRExecutor` and
+    :class:`~repro.backends.native.NativeIRExecutor`, over plain ``int``
+    lists: :meth:`pack` / :meth:`unpack` / :meth:`vector` copy lists,
+    :meth:`broadcast_bits` passes the bit list through, and
+    ``compile(program).run_arrays`` calls :func:`execute_program` on the
+    backend.  There is no lane buffer to bound, so a batch is one chunk.
+    """
+
+    chunk_size = sys.maxsize
+
+    def __init__(self, backend) -> None:
+        self.backend = backend
+        self.m = backend.field.m
+
+    def pack(self, values: Sequence[int]) -> "IntVector":
+        return IntVector(values)
+
+    def unpack(self, vector: Sequence[int]) -> List[int]:
+        return list(vector)
+
+    def vector(self, array: Sequence[int], lanes: int) -> Sequence[int]:
+        return array
+
+    def broadcast_bits(self, bits: Sequence[int]) -> Sequence[int]:
+        return bits
+
+    def compile(self, program: FieldProgram) -> "InterpretedProgram":
+        if program.m != self.m:
+            raise ValueError(
+                f"program is scheduled for m={program.m}, executor is m={self.m}"
+            )
+        return InterpretedProgram(self.backend, program)
+
+    def describe(self) -> str:
+        """One-line summary used by the CLI and benchmarks."""
+        return f"FieldIR interpreting executor on {self.backend.describe()}"
+
+
+class IntVector(list):
+    """A packed batch of the interpreting executor: the int list itself.
+
+    ``array`` returns ``self`` so the executor flows of the curve layer
+    (``pack(...).array`` fed to ``run_arrays``) read the same on every
+    backend, as :class:`~repro.backends.native.NativeVector` does.
+    """
+
+    __slots__ = ()
+
+    @property
+    def array(self) -> "IntVector":
+        return self
+
+
+class InterpretedProgram:
+    """A scheduled program bound to a backend for :func:`execute_program`."""
+
+    def __init__(self, backend, program: FieldProgram) -> None:
+        self.backend = backend
+        self.program = program
+        ir = program.ir
+        self.input_names = [name for name, _ in ir.inputs]
+        self.mask_names = [name for name, _ in ir.mask_inputs]
+        self.output_names = [name for name, _ in ir.outputs]
+
+    def run_arrays(self, input_arrays: Sequence, mask_arrays: Sequence) -> List[List[int]]:
+        """Execute over int lists in declared input / mask / output order."""
+        outputs = execute_program(
+            self.program,
+            self.backend,
+            dict(zip(self.input_names, input_arrays)),
+            dict(zip(self.mask_names, mask_arrays)),
+        )
+        return [outputs[name] for name in self.output_names]
+
+    def run(self, inputs: Mapping[str, Sequence[int]], masks=None) -> Dict[str, List[int]]:
+        """Name-keyed execution (the compiled executors' ``run`` surface)."""
+        return execute_program(self.program, self.backend, inputs, masks)
+
+    def describe(self) -> str:
+        """Structural summary of the scheduled program plus the substrate."""
+        return f"{self.program.describe()} interpreted on {self.backend.describe()}"

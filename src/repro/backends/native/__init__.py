@@ -138,7 +138,7 @@ class NativeBackend(FieldBackend):
 
     name = "native"
     capabilities = BackendCapabilities(
-        vectorized=True, compiled=True, min_efficient_batch=8, plane_resident=True
+        vectorized=True, compiled=True, min_efficient_batch=8
     )
 
     def __init__(

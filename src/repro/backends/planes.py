@@ -24,10 +24,12 @@ Three kinds of operation cover a whole López-Dahab ladder step:
   driven by a broadcast lane mask, so mixed control bits across one batch
   never leave the plane domain.
 
-:class:`PlaneCompute` bundles these into the capability object a backend
-advertises through :meth:`repro.backends.base.FieldBackend.plane_compute`;
-the batched curve ladder (:meth:`repro.curves.point.BinaryCurve
-.multiply_batch`) detects it and keeps all ``~m`` steps plane-resident.
+:class:`PlaneIRExecutor` compiles a whole scheduled FieldIR formula
+(:mod:`repro.backends.ir`) into these passes; it is the executor the
+bitslice backend returns from
+:meth:`repro.backends.base.FieldBackend.ir_executor`, so the batched
+curve ladders (:meth:`repro.curves.point.BinaryCurve.multiply_batch`)
+keep all ``~m`` steps plane-resident.
 
 Compiled :class:`PlaneProgram` s are memoized process-wide (keyed by the
 map's basis images), mirroring the multiplier cache, so repeated field or
@@ -37,22 +39,14 @@ curve constructions never re-lower a linear map.
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..engine.bitpack import pack_rows, unpack_planes
 from ..pipeline.store import LRUCache
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
-from .ir import (
-    K_LINEAR,
-    K_MUL,
-    FieldProgram,
-    IRBuilder,
-    cached_program,
-    schedule_program,
-)
+from .ir import K_LINEAR, K_MUL, FieldProgram
 
 try:  # pragma: no cover - exercised via monkeypatching in the tests
     import numpy as _np
@@ -66,7 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "PlaneVector",
     "PlaneProgram",
-    "PlaneCompute",
     "PlaneIRExecutor",
     "CompiledPlaneIR",
     "plane_program",
@@ -135,7 +128,7 @@ class PlaneVector:
     ``array`` has shape ``(m, lane_words)``: bit ``p`` of row ``i`` is
     coordinate ``a_i`` of batch element ``p``.  ``lanes`` is the live batch
     size; lane bits at positions ``lanes`` and above are dead (kept zero by
-    :meth:`PlaneCompute.pack`, ignored by :meth:`PlaneCompute.unpack`).
+    :meth:`PlaneIRExecutor.pack`, ignored by :meth:`PlaneIRExecutor.unpack`).
     The wrapper is immutable — operations return fresh vectors, so a
     :class:`PlaneVector` can be reused freely across ladder steps.
     """
@@ -464,9 +457,7 @@ class CompiledPlaneIR:
 class PlaneIRExecutor:
     """The plane-resident *IR executor* capability of a bitsliced backend.
 
-    This is the redesigned surface that replaces the op-by-op
-    :class:`PlaneCompute` methods: a consumer expresses its whole formula
-    as a :class:`~repro.backends.ir.FieldIR`, schedules it once
+    A consumer expresses its whole formula as a :class:`~repro.backends.ir.FieldIR`, schedules it once
     (:func:`~repro.backends.ir.schedule_program`), hands the result to
     :meth:`compile`, and executes the returned :class:`CompiledPlaneIR`
     per step.  Only the batch boundary stays explicit: :meth:`pack` /
@@ -556,165 +547,3 @@ class PlaneIRExecutor:
     def describe(self) -> str:
         """One-line summary used by the CLI and benchmarks."""
         return f"FieldIR plane executor on {self.sliced.describe()}"
-
-
-def _warn_plane_compute(method: str) -> None:
-    warnings.warn(
-        f"PlaneCompute.{method}() is deprecated; express the formula as a "
-        "FieldIR (repro.backends.ir) and execute it through "
-        "FieldBackend.ir_executor() instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class PlaneCompute:
-    """Deprecated op-by-op plane interface, kept as shims over FieldIR.
-
-    The five operation methods (:meth:`multiply_planes`,
-    :meth:`apply_linear_planes`, :meth:`xor_planes`, :meth:`broadcast_bits`,
-    :meth:`select_planes`) predate the formula compiler: consumers drove
-    the plane domain one hand-scheduled op at a time.  They now emit
-    ``DeprecationWarning`` and delegate to single-op
-    :class:`~repro.backends.ir.FieldIR` programs executed through the
-    bound :class:`PlaneIRExecutor` — same results, one code path.  New
-    code should trace a whole formula and use
-    :meth:`~repro.backends.base.FieldBackend.ir_executor` directly; the
-    batch boundary (:meth:`pack` / :meth:`unpack`) remains un-deprecated
-    and simply forwards to the executor.
-    """
-
-    def __init__(
-        self,
-        field: "GF2mField",
-        sliced: "BitslicedNetlist",
-        executor: Optional[PlaneIRExecutor] = None,
-    ) -> None:
-        _require_numpy()
-        self.field = field
-        self.sliced = sliced
-        self.m = sliced.m
-        self._executor = executor if executor is not None else PlaneIRExecutor(field, sliced)
-
-    # ------------------------------------------------------------- boundary
-    def pack(self, values: Sequence[int]) -> PlaneVector:
-        """Pack validated field elements into a :class:`PlaneVector` (once)."""
-        return self._executor.pack(values)
-
-    def unpack(self, vector: PlaneVector) -> List[int]:
-        """Unpack a :class:`PlaneVector` back into field elements (once)."""
-        return self._executor.unpack(vector)
-
-    # -------------------------------------------------------- deprecated ops
-    def _run_single_op(
-        self, program: FieldProgram, vectors: Sequence[PlaneVector], mask=None
-    ) -> List[PlaneVector]:
-        compiled = self._executor.compile(program)
-        outputs = compiled.run_arrays(
-            [vector.array for vector in vectors], [] if mask is None else [mask]
-        )
-        lanes = vectors[0].lanes
-        return [PlaneVector(array, lanes) for array in outputs]
-
-    def multiply_planes(
-        self,
-        a: Union[PlaneVector, Sequence[PlaneVector]],
-        b: Union[PlaneVector, Sequence[PlaneVector]],
-    ) -> Union[PlaneVector, List[PlaneVector]]:
-        """Deprecated: full products via a single-op (or k-op) IR program.
-
-        Sequences lane-stack exactly as before — the scheduled k-product
-        program has one ``MulPass``, which the executor evaluates as one
-        netlist pass over the concatenated lanes.
-        """
-        _warn_plane_compute("multiply_planes")
-        if isinstance(a, PlaneVector):
-            if not isinstance(b, PlaneVector):
-                raise TypeError("multiply_planes needs two vectors or two sequences")
-            self._check_pair(a, b, "multiply_planes")
-            return self._run_single_op(_op_program("mul", self.m, 1), [a, b])[0]
-        a_list, b_list = list(a), list(b)
-        if len(a_list) != len(b_list):
-            raise ValueError(f"operand counts differ: {len(a_list)} vs {len(b_list)}")
-        if not a_list:
-            return []
-        for pair in zip(a_list, b_list):
-            self._check_pair(*pair, "multiply_planes")
-        if len({(vector.lane_words, vector.lanes) for vector in a_list}) > 1:
-            # Pairs of different batches cannot share one IR execution.
-            single = _op_program("mul", self.m, 1)
-            return [
-                self._run_single_op(single, [a_vec, b_vec])[0]
-                for a_vec, b_vec in zip(a_list, b_list)
-            ]
-        program = _op_program("mul", self.m, len(a_list))
-        return self._run_single_op(program, list(a_list) + list(b_list))
-
-    def apply_linear_planes(self, linear_map: "GF2LinearMap", vector: PlaneVector) -> PlaneVector:
-        """Deprecated: one GF(2)-linear map as a single-op IR program."""
-        _warn_plane_compute("apply_linear_planes")
-        program = _op_program("linear", linear_map.input_bits, linear_map.masks, linear_map)
-        return self._run_single_op(program, [vector])[0]
-
-    @staticmethod
-    def _check_pair(a: PlaneVector, b: PlaneVector, operation: str) -> None:
-        if a.array.shape != b.array.shape or a.lanes != b.lanes:
-            raise ValueError(
-                f"{operation} needs vectors of one batch: "
-                f"{a.lanes} lanes {a.array.shape} vs {b.lanes} lanes {b.array.shape}"
-            )
-
-    def xor_planes(self, a: PlaneVector, b: PlaneVector) -> PlaneVector:
-        """Deprecated: field addition as a single-op IR program."""
-        _warn_plane_compute("xor_planes")
-        self._check_pair(a, b, "xor_planes")
-        return self._run_single_op(_op_program("xor", self.m), [a, b])[0]
-
-    def broadcast_bits(self, bits: Sequence[int]):
-        """Deprecated: build control masks via :meth:`PlaneIRExecutor.broadcast_bits`."""
-        _warn_plane_compute("broadcast_bits")
-        return self._executor.broadcast_bits(bits)
-
-    def select_planes(self, mask, when_set: PlaneVector, when_clear: PlaneVector) -> PlaneVector:
-        """Deprecated: per-lane select as a single-op IR program."""
-        _warn_plane_compute("select_planes")
-        self._check_pair(when_set, when_clear, "select_planes")
-        if mask.shape != (when_set.lane_words,):
-            raise ValueError(
-                f"mask shape {mask.shape} does not cover {when_set.lane_words} lane words; "
-                "build it with broadcast_bits over the same batch"
-            )
-        program = _op_program("select", self.m)
-        return self._run_single_op(program, [when_set, when_clear], mask=mask)[0]
-
-    def describe(self) -> str:
-        """One-line summary used by the CLI and benchmarks."""
-        return f"plane-resident compute on {self.sliced.describe()}"
-
-
-def _op_program(kind: str, m: int, extra=None, linear_map=None) -> FieldProgram:
-    """Memoized single-op FieldIR programs backing the PlaneCompute shims."""
-    key = ("plane-shim", kind, m, extra)
-
-    def build() -> FieldProgram:
-        builder = IRBuilder(f"plane_{kind}")
-        if kind == "mul":
-            count = extra
-            a_vars = [builder.input(f"a{i}") for i in range(count)]
-            b_vars = [builder.input(f"b{i}") for i in range(count)]
-            for i in range(count):
-                builder.output(f"p{i}", builder.mul(a_vars[i], b_vars[i]))
-            return schedule_program(builder.build(), m, {}, key=key)
-        if kind == "linear":
-            builder.output("y", builder.apply_linear("map", builder.input("x")))
-            return schedule_program(builder.build(), m, {"map": linear_map}, key=key)
-        if kind == "xor":
-            builder.output("y", builder.xor(builder.input("a"), builder.input("b")))
-            return schedule_program(builder.build(), m, {}, key=key)
-        bit = builder.mask_input("bit")
-        builder.output(
-            "y", builder.select(bit, builder.input("when_set"), builder.input("when_clear"))
-        )
-        return schedule_program(builder.build(), m, {}, key=key)
-
-    return cached_program(key, build)

@@ -210,10 +210,10 @@ def _assert_ir_parity(field, resolved, a_values, b_values, rng) -> int:
     """Cross-check FieldIR execution on this backend against the reference.
 
     A small mixed formula (mul, chained squarings, xor, select) runs through
-    :func:`repro.backends.ir.execute_program` on every backend, and through
-    the compiled plane path as well when the backend advertises
-    :meth:`~repro.backends.base.FieldBackend.ir_executor` — both must match
-    the scalar reference byte for byte.  This is the harness arm that keeps
+    :func:`repro.backends.ir.execute_program` and through the backend's
+    :meth:`~repro.backends.base.FieldBackend.ir_executor` (compiled on
+    bitslice/native, interpreting on python/engine) — both must match the
+    scalar reference byte for byte.  This is the harness arm that keeps
     the formula compiler honest on every registered substrate.
     """
     from .ir import IRBuilder, execute_program, schedule_program
@@ -248,19 +248,16 @@ def _assert_ir_parity(field, resolved, a_values, b_values, rng) -> int:
             f"{resolved.name} backend FieldIR interpreter mismatch on GF(2^{m}) "
             f"vector {index}: got 0x{interpreted[index]:x}, reference 0x{expected[index]:x}"
         )
-    checked = len(a_values)
     executor = resolved.ir_executor()
-    if executor is not None:
-        compiled = executor.compile(program)
-        outputs = compiled.run(
-            {"a": executor.pack(a_values), "b": executor.pack(b_values)}, {"bit": bits}
+    compiled = executor.compile(program)
+    outputs = compiled.run(
+        {"a": executor.pack(a_values), "b": executor.pack(b_values)}, {"bit": bits}
+    )
+    executed = executor.unpack(outputs["r"])
+    if executed != expected:
+        index = next(i for i, (got, want) in enumerate(zip(executed, expected)) if got != want)
+        raise AssertionError(
+            f"{resolved.name} backend FieldIR executor mismatch on GF(2^{m}) "
+            f"vector {index}: got 0x{executed[index]:x}, reference 0x{expected[index]:x}"
         )
-        plane = executor.unpack(outputs["r"])
-        if plane != expected:
-            index = next(i for i, (got, want) in enumerate(zip(plane, expected)) if got != want)
-            raise AssertionError(
-                f"{resolved.name} backend FieldIR plane mismatch on GF(2^{m}) "
-                f"vector {index}: got 0x{plane[index]:x}, reference 0x{expected[index]:x}"
-            )
-        checked += len(a_values)
-    return checked
+    return 2 * len(a_values)

@@ -16,8 +16,6 @@ Subcommands
                 parallel pipeline with the persistent artifact store
 ``curves``      list the elliptic-curve catalog (NIST-degree K/B curves)
 ``ecdh``        run the batched ECDH workload on one curve and report ops/s
-                (``--ladder planes|steps|auto`` picks the plane-resident or
-                per-step batched-ladder path)
 ``stats``       print the telemetry registry (counters, timing summaries)
                 and every named LRU cache's hit/miss/eviction stats
 ``dashboard``   render the per-PR perf trajectory from the committed
@@ -28,10 +26,9 @@ Subcommands
 :mod:`repro.backends`); the
 ``GF2M_REPRO_BACKEND`` environment variable sets the process default.
 The flag is declared once on a shared parent parser (as are ``--method``
-for ``batch``/``bench``, ``--ladder`` for ``ecdh`` and ``--trace-out``
-for every heavy subcommand) and resolved at a single site,
-:func:`_resolve_cli_backend` — subcommands cannot drift apart in
-spelling, defaults or error behavior.
+for ``batch``/``bench`` and ``--trace-out`` for every heavy subcommand)
+and resolved at a single site, :func:`_resolve_cli_backend` —
+subcommands cannot drift apart in spelling, defaults or error behavior.
 
 ``--trace-out FILE`` (top level or on batch/bench/ecdh/sweep) records a
 span trace of the run and writes it as Chrome trace-event JSON — open it
@@ -88,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     # Shared option groups, declared once.  Every backend-aware subcommand
-    # inherits the same --backend flag (and batch/bench the same --method,
-    # ecdh the same --ladder) from these parents, and all of them resolve
+    # inherits the same --backend flag (and batch/bench the same --method)
+    # from these parents, and all of them resolve
     # through the one _resolve_cli_backend site below.
     backend_parent = argparse.ArgumentParser(add_help=False)
     backend_parent.add_argument(
@@ -104,15 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default=None,
         help="circuit construction for circuit backends (default thiswork for type II fields)",
-    )
-    ladder_parent = argparse.ArgumentParser(add_help=False)
-    ladder_parent.add_argument(
-        "--ladder",
-        choices=["auto", "planes", "steps"],
-        default="auto",
-        help="batched-ladder path: 'planes' demands the plane-resident FieldIR executor, "
-        "'steps' pins the per-step batch path, 'auto' (default) compiles to planes when "
-        "the backend supports it",
     )
     # The same --trace-out accepted after the subcommand.  SUPPRESS keeps a
     # subparser that was not given the flag from overwriting the top-level
@@ -227,20 +215,21 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--quick", action="store_true", help="small fast run for CI smoke tests")
     bench.add_argument(
         "--describe", action="store_true",
-        help="print the FieldIR pass schedule of the López-Dahab ladder step (and its compiled "
-        "plane lowering when the backend has one) instead of benchmarking",
+        help="print the FieldIR pass schedule of the López-Dahab ladder step and the "
+        "backend executor's lowering of it instead of benchmarking",
     )
     bench.add_argument(
         "--profile", action="store_true",
         help="trace the compiled López-Dahab ladder step and print a per-fused-pass "
-        "timing breakdown instead of benchmarking (needs a FieldIR-capable backend)",
+        "timing breakdown instead of benchmarking (compiled executors only; "
+        "python/engine print the step total)",
     )
 
     subparsers.add_parser("curves", help="list the elliptic-curve catalog")
 
     ecdh = subparsers.add_parser(
         "ecdh",
-        parents=[backend_parent, ladder_parent, trace_parent],
+        parents=[backend_parent, trace_parent],
         help="batched ECDH key agreement workload on one curve",
     )
     ecdh.add_argument("--curve", default="B-163", help="catalog curve name (default B-163; see 'repro curves')")
@@ -267,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     keygen = subparsers.add_parser(
         "keygen",
-        parents=[backend_parent, ladder_parent, trace_parent],
+        parents=[backend_parent, trace_parent],
         help="batched key generation workload on one curve (fixed-base comb by default)",
     )
     keygen.add_argument("--curve", default="K-163", help="catalog curve name (default K-163; see 'repro curves')")
@@ -537,11 +526,11 @@ def _run_bench_describe(args) -> int:
     """``repro bench --describe``: the formula compiler's pass schedule.
 
     Prints the scheduled López-Dahab ladder-step :class:`FieldProgram` for
-    the bench field — the headline consumer of the formula compiler — and,
-    when the resolved backend advertises a plane IR executor, its compiled
-    plane lowering.  A catalog curve over the bench field supplies the
-    curve constant ``b``; fields without a catalog curve describe the
-    schedule with ``b = 1``, which has the identical pass structure.
+    the bench field — the headline consumer of the formula compiler — and
+    the resolved backend executor's lowering of it.  A catalog curve over
+    the bench field supplies the curve constant ``b``; fields without a
+    catalog curve describe the schedule with ``b = 1``, which has the
+    identical pass structure.
     """
     from .backends.ir import schedule_program
     from .curves.formulas import ladder_step_ir, ladder_step_program
@@ -562,13 +551,10 @@ def _run_bench_describe(args) -> int:
             {"square": field.square_map, "mul_b": field.constant_multiplier(1)},
         )
         print(f"formula: López-Dahab ladder step over GF(2^{args.m}) (no catalog curve; b=1)")
-    print(backend.describe())
-    print(program.describe())
     executor = backend.ir_executor()
-    if executor is None:
-        print(f"backend {backend.name!r} has no plane IR executor; the program runs interpreted")
-    else:
-        print(f"compiled: {executor.compile(program).describe()}")
+    print(executor.describe())
+    print(program.describe())
+    print(f"compiled: {executor.compile(program).describe()}")
     return 0
 
 
@@ -578,7 +564,9 @@ def _run_bench_profile(args) -> int:
     Compiles the López-Dahab ladder-step formula for the bench field on
     the resolved backend, runs ``m`` steps over a packed random batch
     under a temporary tracer, and prints where each step's time goes —
-    the per-pass breakdown behind the one ``ladder.step`` number.
+    the per-pass breakdown behind the one ``ladder.step`` number.  The
+    interpreting executor of python/engine emits no per-pass spans, so
+    there only the step total is printed.
     """
     from .backends.ir import schedule_program
     from .curves.formulas import ladder_step_ir, ladder_step_program
@@ -587,11 +575,6 @@ def _run_bench_profile(args) -> int:
     field = GF2mField(modulus, check_irreducible=False)
     backend = _resolve_cli_backend(field, args.backend, method=args.method, verify=args.m <= 16)
     executor = backend.ir_executor()
-    if executor is None:
-        raise SystemExit(
-            f"--profile needs a backend with a FieldIR executor; {backend.name!r} "
-            "has none (use --backend native or bitslice)"
-        )
     curve = next(
         (curve_by_name(spec.name) for spec in CURVES if (spec.m, spec.n) == (args.m, args.n)),
         None,
@@ -630,25 +613,28 @@ def _run_bench_profile(args) -> int:
     finally:
         telemetry_trace.set_tracer(previous)
     print(f"formula: {formula}")
-    print(backend.describe())
-    print(f"{steps} fused steps x {lanes} lanes, traced per pass:")
-    total_s = sum(entry["total_s"] for entry in summary.values())
-    header = f"  {'pass':<24s} {'count':>7s} {'total ms':>10s} {'share':>7s} {'per-step µs':>12s}"
-    print(header)
-    print("  " + "-" * (len(header) - 2))
-    for name in sorted(summary):
-        entry = summary[name]
-        share = entry["total_s"] / total_s * 100 if total_s > 0 else 0.0
-        per_step_us = entry["total_s"] / steps * 1e6
+    print(executor.describe())
+    if summary:
+        print(f"{steps} fused steps x {lanes} lanes, traced per pass:")
+        total_s = sum(entry["total_s"] for entry in summary.values())
+        header = f"  {'pass':<24s} {'count':>7s} {'total ms':>10s} {'share':>7s} {'per-step µs':>12s}"
+        print(header)
+        print("  " + "-" * (len(header) - 2))
+        for name in sorted(summary):
+            entry = summary[name]
+            share = entry["total_s"] / total_s * 100 if total_s > 0 else 0.0
+            per_step_us = entry["total_s"] / steps * 1e6
+            print(
+                f"  {name:<24s} {entry['count']:>7.0f} {entry['total_s'] * 1000:>10.2f} "
+                f"{share:>6.1f}% {per_step_us:>12.1f}"
+            )
+        overhead_s = timer.seconds - total_s
         print(
-            f"  {name:<24s} {entry['count']:>7.0f} {entry['total_s'] * 1000:>10.2f} "
-            f"{share:>6.1f}% {per_step_us:>12.1f}"
+            f"  {'(outside passes)':<24s} {'':>7s} {overhead_s * 1000:>10.2f} "
+            f"{(overhead_s / timer.seconds * 100 if timer.seconds > 0 else 0.0):>6.1f}%"
         )
-    overhead_s = timer.seconds - total_s
-    print(
-        f"  {'(outside passes)':<24s} {'':>7s} {overhead_s * 1000:>10.2f} "
-        f"{(overhead_s / timer.seconds * 100 if timer.seconds > 0 else 0.0):>6.1f}%"
-    )
+    else:
+        print(f"{steps} interpreted steps x {lanes} lanes (no per-pass spans):")
     print(
         f"total {timer.seconds * 1000:.2f} ms "
         f"({steps * lanes / timer.seconds:,.0f} ladder-step-lanes/s)"
@@ -693,8 +679,7 @@ def _run_bench(args) -> int:
 
 
 def _ecdh_agreements(
-    curve, privates, peers, jobs: int, backend=None, plane_resident=None,
-    scalar_rep="auto", start_method=None,
+    curve, privates, peers, jobs: int, backend=None, scalar_rep="auto", start_method=None,
 ) -> List:
     """The batch of shared points, optionally sharded over worker processes.
 
@@ -707,8 +692,7 @@ def _ecdh_agreements(
     from .serve.workers import ecdh_sharded
 
     return ecdh_sharded(
-        curve, privates, peers, jobs, backend=backend,
-        plane_resident=plane_resident, scalar_rep=scalar_rep,
+        curve, privates, peers, jobs, backend=backend, scalar_rep=scalar_rep,
         start_method=start_method,
     )
 
@@ -723,14 +707,7 @@ def _run_ecdh(args) -> int:
     if args.check < 0:
         raise SystemExit("--check must be non-negative")
     # Resolve eagerly so a bad backend (or missing numpy) fails before work.
-    resolved = _resolve_cli_backend(curve.field, args.backend)
-    plane_resident = {"auto": None, "planes": True, "steps": False}[args.ladder]
-    if plane_resident and resolved.ir_executor() is None:
-        raise SystemExit(
-            f"--ladder planes needs a plane-resident backend (one with a FieldIR "
-            f"executor); {resolved.name!r} has no such capability (use --backend "
-            "native or bitslice)"
-        )
+    _resolve_cli_backend(curve.field, args.backend)
     try:
         resolved_rep = curve._resolve_scalar_rep(args.scalar_rep)
     except ValueError as error:
@@ -740,11 +717,11 @@ def _run_ecdh(args) -> int:
     with telemetry_metrics.timed("cli.ecdh.keygen") as keygen_timer:
         alice = keygen_batch(
             curve, args.batch, seed=args.seed, backend=args.backend,
-            plane_resident=plane_resident, scalar_rep=args.scalar_rep,
+            scalar_rep=args.scalar_rep,
         )
         bob = keygen_batch(
             curve, args.batch, seed=args.seed + 1, backend=args.backend,
-            plane_resident=plane_resident, scalar_rep=args.scalar_rep,
+            scalar_rep=args.scalar_rep,
         )
     keygen_s = keygen_timer.seconds
 
@@ -757,7 +734,6 @@ def _run_ecdh(args) -> int:
             [pair.public for pair in bob],
             args.jobs,
             backend=args.backend,
-            plane_resident=plane_resident,
             scalar_rep=args.scalar_rep,
             start_method=args.start_method,
         )
@@ -767,7 +743,6 @@ def _run_ecdh(args) -> int:
             [pair.public for pair in alice],
             args.jobs,
             backend=args.backend,
-            plane_resident=plane_resident,
             scalar_rep=args.scalar_rep,
             start_method=args.start_method,
         )
@@ -787,14 +762,10 @@ def _run_ecdh(args) -> int:
     keygen_rate = 2 * args.batch / keygen_s if keygen_s > 0 else float("inf")
     agree_rate = ladders / agree_s if agree_s > 0 else float("inf")
     backend_label = args.backend or default_backend_name(curve.field)
-    if plane_resident is False or resolved.ir_executor() is None:
-        ladder_label = "per-step ladder"
-    else:
-        ladder_label = "plane-resident ladder"
     rep_label = "tau-adic" if resolved_rep == "tau" else "binary"
     print(
-        f"batch {args.batch}, jobs {args.jobs}, backend {backend_label} ({ladder_label}, "
-        f"{rep_label} scalars): all {args.batch} shared secrets agree"
+        f"batch {args.batch}, jobs {args.jobs}, backend {backend_label} "
+        f"({rep_label} scalars): all {args.batch} shared secrets agree"
     )
     print(f"  keygen     {2 * args.batch:>6d} ladders in {keygen_s * 1000:>8.1f} ms ({keygen_rate:,.1f} ops/s)")
     print(f"  agreement  {ladders:>6d} ladders in {agree_s * 1000:>8.1f} ms ({agree_rate:,.1f} ops/s)")
@@ -811,14 +782,7 @@ def _run_keygen(args) -> int:
         raise SystemExit("--batch must be at least 1")
     if args.check < 0:
         raise SystemExit("--check must be non-negative")
-    resolved = _resolve_cli_backend(curve.field, args.backend)
-    plane_resident = {"auto": None, "planes": True, "steps": False}[args.ladder]
-    if plane_resident and resolved.ir_executor() is None:
-        raise SystemExit(
-            f"--ladder planes needs a plane-resident backend (one with a FieldIR "
-            f"executor); {resolved.name!r} has no such capability (use --backend "
-            "native or bitslice)"
-        )
+    _resolve_cli_backend(curve.field, args.backend)
     fixed_base = {"auto": None, "comb": True, "ladder": False}[args.path]
     print(curve.describe())
     curve.generator  # derive outside the timed region (shared by all paths)
@@ -829,7 +793,6 @@ def _run_keygen(args) -> int:
                 args.batch,
                 seed=args.seed,
                 backend=args.backend,
-                plane_resident=plane_resident,
                 scalar_rep=args.scalar_rep,
                 fixed_base=fixed_base,
             )

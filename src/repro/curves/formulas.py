@@ -9,19 +9,18 @@ module replaces the latter two: the **step**, the **y-recovery** and the
 **curve-equation residual** are traced once as straight-line
 :class:`~repro.backends.ir.FieldIR` and scheduled once per curve through
 the level-scheduling fusion pass (:func:`~repro.backends.ir
-.schedule_program`).  Plane-capable backends compile the scheduled program
-into fused uint64 plane passes
-(:meth:`~repro.backends.base.FieldBackend.ir_executor`); every other
-backend interprets the same program with
-:func:`~repro.backends.ir.execute_program`, which derives the per-step
-``multiply_batch`` gathers from the schedule instead of hand-written loops.
-The scalar ladder stays as the untouched independent reference the tests
-compare both executions against.
+.schedule_program`).  Every backend runs the scheduled program through
+its executor (:meth:`~repro.backends.base.FieldBackend.ir_executor`):
+fused uint64 plane passes on bitslice, one C instruction stream on
+native, and :func:`~repro.backends.ir.execute_program` on python and
+engine, which derives the per-step ``multiply_batch`` gathers from the
+schedule instead of hand-written loops.  The scalar ladder stays as the
+untouched independent reference the tests compare every executor against.
 
 Scheduled programs are memoized process-wide
 (:func:`~repro.backends.ir.cached_program`) keyed by the curve fingerprint
-(modulus plus the participating curve constants), and each plane executor
-additionally memoizes its lowering by the same key — so the full chain is
+(modulus plus the participating curve constants), and each compiled
+executor additionally memoizes its lowering by the same key — so the full chain is
 cached per curve × backend × chunk and repeated ECDH calls never re-trace,
 re-schedule or re-lower.
 

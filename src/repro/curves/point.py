@@ -18,16 +18,13 @@ multiplication paths:
   check) is traced once as a :class:`~repro.backends.ir.FieldIR`
   (:mod:`repro.curves.formulas`) and scheduled once per curve into fused
   passes.  The batch resolves one execution backend (:mod:`repro.backends`)
-  up front.  When the backend is *plane-resident*
-  (:meth:`~repro.backends.base.FieldBackend.ir_executor` returns an
-  executor — the numpy ``bitslice`` backend), the compiled step lowers to
-  fused uint64 plane passes: base-point coordinates are packed **once**,
-  every step executes as two lane-stacked netlist passes, one merged
-  gather/XOR linear stage and masked plane selects, and coordinates are
-  unpacked **once** before the shared Montgomery-trick inversions.
-  Backends without the capability interpret the *same* program per step
-  (:func:`~repro.backends.ir.execute_program`), which derives the gathered
-  ``multiply_batch`` calls from the schedule.
+  up front and runs the compiled step through its FieldIR executor
+  (:meth:`~repro.backends.base.FieldBackend.ir_executor`): base-point
+  coordinates are packed **once**, every step is one ``run_arrays`` call
+  (fused uint64 plane passes on bitslice, one C call on native, the
+  :func:`~repro.backends.ir.execute_program` interpreter on python and
+  engine), and coordinates are unpacked **once** before the shared
+  Montgomery-trick inversions.
 
 All paths return canonical affine points, so their results are comparable
 byte for byte; the batch path is asserted identical to the scalar ladder in
@@ -355,34 +352,27 @@ class BinaryCurve:
         *,
         method: Optional[str] = None,
         backend=None,
-        plane_resident: Optional[bool] = None,
         scalar_rep: str = "binary",
         fixed_base: Optional[bool] = None,
     ) -> List[Point]:
         """Multiply many independent ``(point, scalar)`` pairs at once.
 
         The batch resolves one execution backend up front
-        (:meth:`GF2mField.resolve_backend`) and executes the compiled
+        (:meth:`GF2mField.resolve_backend`) and runs the compiled
         ladder-step formula (:func:`repro.curves.formulas
-        .ladder_step_program`).  A *plane-resident* backend (the numpy
-        ``bitslice`` one) runs the compiled step in its packed uint64
-        plane domain — one pack, ``~m`` fused six-pass steps, one unpack
-        (see :mod:`repro.backends.planes`).  Other backends interpret the
-        same program per step, gathering each product level into one
-        ``multiply_batch`` call, with table-map linear work between.
-        Scalars of different bit lengths are handled by starting every item
-        at the widest scalar's bit: the ladder state ``R0 = infinity,
-        R1 = P`` is a fixed point of the leading-zero steps (in the plane
-        path the scalar-bit swaps are masked lane selects, so mixed-length
-        scalars share one batch).
+        .ladder_step_program`) through the backend's FieldIR executor:
+        one pack, one ``run_arrays`` per scalar bit, one unpack.  Bitslice
+        runs the step as fused uint64 plane passes, native as one C call,
+        and python/engine interpret the same program per step.  Scalars of
+        different bit lengths are handled by starting every item at the
+        widest scalar's bit: the ladder state ``R0 = infinity, R1 = P`` is
+        a fixed point of the leading-zero steps (the scalar-bit swaps are
+        masked lane selects, so mixed-length scalars share one batch).
 
         ``backend`` names the substrate (``"engine"``, ``"bitslice"``,
-        ``"python"`` or an instance); ``method`` selects the multiplier
-        construction exactly as in :meth:`GF2mField.multiply_batch`.
-        ``plane_resident`` forces the path: ``None`` (default) auto-detects
-        the capability, ``True`` demands it (raising if the backend lacks
-        it), ``False`` pins the per-step fallback — the benchmarks use this
-        to price the two paths against each other.
+        ``"python"``, ``"native"`` or an instance); ``method`` selects the
+        multiplier construction exactly as in
+        :meth:`GF2mField.multiply_batch`.
 
         ``scalar_rep`` selects the recoding (see :meth:`multiply`):
         ``"tau"``/``"auto"`` route Koblitz batches through the τ-adic
@@ -425,7 +415,6 @@ class BinaryCurve:
                 base_y,
                 ladder_scalars,
                 backend=resolved,
-                plane_resident=plane_resident,
                 rep=rep,
                 fixed_base=fixed_base,
             )
@@ -441,7 +430,6 @@ class BinaryCurve:
         scalars: List[int],
         *,
         backend,
-        plane_resident: Optional[bool],
         rep: str,
         fixed_base: Optional[bool],
     ) -> List[Point]:
@@ -472,18 +460,12 @@ class BinaryCurve:
                     else:
                         reason = "a scalar exceeds the comb table capacity"
             if eligible:
-                return scalarmul.multiply_comb_batch(
-                    self, scalars, backend=backend, plane_resident=plane_resident
-                )
+                return scalarmul.multiply_comb_batch(self, scalars, backend=backend)
             if fixed_base:
                 raise ValueError(f"fixed_base=True, but {reason}")
         if rep == "tau":
-            return scalarmul.multiply_tau_batch(
-                self, base_x, base_y, scalars, backend=backend, plane_resident=plane_resident
-            )
-        return self._ladder_ld_batch(
-            base_x, base_y, scalars, backend=backend, plane_resident=plane_resident
-        )
+            return scalarmul.multiply_tau_batch(self, base_x, base_y, scalars, backend=backend)
+        return self._ladder_ld_batch(base_x, base_y, scalars, backend=backend)
 
     def _require_batch_bases_on_curve(self, points: Sequence[Point], *, backend) -> None:
         """Batched membership check of caller-supplied base points.
@@ -549,59 +531,27 @@ class BinaryCurve:
         scalars: List[int],
         *,
         backend,
-        plane_resident: Optional[bool] = None,
     ) -> List[Point]:
         # The backend is resolved by multiply_batch; ladder intermediates are
-        # always valid field elements, so its batch ops are called directly
-        # (no per-step revalidation).  Both branches execute the SAME
-        # compiled formula (repro.curves.formulas.ladder_step_program) —
-        # fused plane passes on IR-capable backends, the schedule-derived
-        # batch interpreter everywhere else.
-        program = ladder_step_program(self)
-        if plane_resident is None or plane_resident:
-            executor = backend.ir_executor()
-            if executor is None and plane_resident:
-                raise ValueError(
-                    f"backend {backend.name!r} has no plane-resident IR executor; "
-                    "use the 'bitslice' or 'native' backend or plane_resident=False"
-                )
-            if executor is not None:
-                # Chunk at the backend's lane width so the plane buffers stay
-                # bounded for very large batches (each chunk still packs
-                # once, runs all its steps on planes, and unpacks once).
-                chunk = executor.chunk_size
-                compiled = executor.compile(program)
-                x1: List[int] = []
-                z1: List[int] = []
-                x2: List[int] = []
-                z2: List[int] = []
-                for start in range(0, len(base_x), chunk):
-                    part = self._ladder_ld_compiled(
-                        executor, compiled, base_x[start:start + chunk], scalars[start:start + chunk]
-                    )
-                    x1 += part[0]
-                    z1 += part[1]
-                    x2 += part[2]
-                    z2 += part[3]
-                return self._ladder_recover_batch(
-                    base_x, base_y, x1, z1, x2, z2, backend=backend
-                )
-        count = len(base_x)
-        steps = max(scalar.bit_length() for scalar in scalars)
-        x1 = [1] * count
-        z1 = [0] * count
-        x2 = list(base_x)
-        z2 = [1] * count
-        for bit_index in range(steps - 1, -1, -1):
-            bits = [(scalar >> bit_index) & 1 for scalar in scalars]
-            state = execute_program(
-                program,
-                backend,
-                {"x1": x1, "z1": z1, "x2": x2, "z2": z2, "x": base_x},
-                {"bit": bits},
+        # always valid field elements, so its executor runs them directly
+        # (no per-step revalidation).  Chunk at the executor's lane width so
+        # compiled buffers stay bounded for very large batches (each chunk
+        # still packs once, runs all its steps, and unpacks once).
+        executor = backend.ir_executor()
+        chunk = executor.chunk_size
+        compiled = executor.compile(ladder_step_program(self))
+        x1: List[int] = []
+        z1: List[int] = []
+        x2: List[int] = []
+        z2: List[int] = []
+        for start in range(0, len(base_x), chunk):
+            part = self._ladder_ld_compiled(
+                executor, compiled, base_x[start:start + chunk], scalars[start:start + chunk]
             )
-            x1, z1 = state["x1n"], state["z1n"]
-            x2, z2 = state["x2n"], state["z2n"]
+            x1 += part[0]
+            z1 += part[1]
+            x2 += part[2]
+            z2 += part[3]
         return self._ladder_recover_batch(base_x, base_y, x1, z1, x2, z2, backend=backend)
 
     def _ladder_ld_compiled(self, executor, compiled, base_x: List[int], scalars: List[int]):
@@ -609,11 +559,12 @@ class BinaryCurve:
 
         Pack once, run the fused six-pass step once per scalar bit
         (``run_arrays`` on the executor's raw register arrays — plane
-        arrays on bitslice, word buffers on native; the only per-step
-        Python is the scalar-bit mask build), unpack once.  Byte-identical
-        to the interpreter path and the scalar ladder by construction:
-        same formula, same circuits, same linear maps — GF(2^m) arithmetic
-        is exact, so any correct schedule produces identical bytes.
+        arrays on bitslice, word buffers on native, int lists on the
+        interpreting executor; the only per-step Python is the scalar-bit
+        mask build), unpack once.  Byte-identical to the scalar ladder by
+        construction: same formula, same circuits, same linear maps —
+        GF(2^m) arithmetic is exact, so any correct schedule produces
+        identical bytes.
         """
         count = len(base_x)
         steps = max(scalar.bit_length() for scalar in scalars)

@@ -90,7 +90,6 @@ def keygen_batch(
     seed: Optional[int] = None,
     batched: bool = True,
     backend=None,
-    plane_resident: Optional[bool] = None,
     scalar_rep: str = "auto",
     fixed_base: Optional[bool] = None,
 ) -> List[KeyPair]:
@@ -98,9 +97,8 @@ def keygen_batch(
 
     ``seed`` (or an explicit ``rng``) makes the draw reproducible.
     ``backend`` selects the execution substrate of the batched ladder
-    (:mod:`repro.backends`; results are byte-identical across backends) and
-    ``plane_resident`` forces or pins its ladder path (see
-    :meth:`~repro.curves.point.BinaryCurve.multiply_batch`).  Every
+    (:mod:`repro.backends`; results are byte-identical across backends,
+    see :meth:`~repro.curves.point.BinaryCurve.multiply_batch`).  Every
     public point is a generator multiply, so by default (``fixed_base=
     None``) the batch evaluates through the precomputed comb table —
     ``fixed_base=False`` pins the ladders, and ``scalar_rep`` then picks
@@ -120,7 +118,6 @@ def keygen_batch(
             [generator] * count,
             privates,
             backend=backend,
-            plane_resident=plane_resident,
             scalar_rep=scalar_rep,
             fixed_base=fixed_base,
         )
@@ -143,16 +140,13 @@ def ecdh_batch(
     *,
     batched: bool = True,
     backend=None,
-    plane_resident: Optional[bool] = None,
     scalar_rep: str = "auto",
 ) -> List[Point]:
     """Shared points for many independent ``(private, peer)`` pairs.
 
     The batched path routes every ladder step through one execution
-    backend (:mod:`repro.backends`; the compiled engine by default,
-    selectable via ``backend``).  A plane-resident backend (``bitslice``)
-    keeps all ladder steps in its packed plane domain; ``plane_resident``
-    forces or pins that path (see
+    backend's FieldIR executor (:mod:`repro.backends`; the per-field
+    default, selectable via ``backend``; see
     :meth:`~repro.curves.point.BinaryCurve.multiply_batch`).
     ``scalar_rep`` picks the scalar recoding: the default ``"auto"``
     rides the τ-adic Frobenius ladder on Koblitz curves and the binary
@@ -174,7 +168,6 @@ def ecdh_batch(
             list(peer_publics),
             list(privates),
             backend=backend,
-            plane_resident=plane_resident,
             scalar_rep=scalar_rep,
         )
     return [curve.multiply(peer, private) for private, peer in zip(privates, peer_publics)]
@@ -240,7 +233,6 @@ def sign_batch(
     *,
     batched: bool = True,
     backend=None,
-    plane_resident: Optional[bool] = None,
     scalar_rep: str = "auto",
     fixed_base: Optional[bool] = None,
 ) -> List[Signature]:
@@ -291,8 +283,7 @@ def sign_batch(
                 [generator] * len(lanes),
                 [k for _, k in lanes],
                 backend=backend,
-                plane_resident=plane_resident,
-                scalar_rep=scalar_rep,
+                    scalar_rep=scalar_rep,
                 fixed_base=fixed_base,
             )
             for (index, k), point in zip(lanes, points):

@@ -63,7 +63,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from ..backends.ir import execute_program
 from ..pipeline.store import ArtifactStore, LRUCache, canonical_fingerprint
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
@@ -404,29 +403,12 @@ def tau_digits_value(curve: "BinaryCurve", digits: "Sequence[int]") -> "Tuple[in
 
 
 # ----------------------------------------------------------- shared plumbing
-def _resolve_executor(backend, plane_resident: "Optional[bool]"):
-    """The backend's FieldIR executor per the ``plane_resident`` contract."""
-    if plane_resident is False:
-        return None
-    executor = backend.ir_executor()
-    if executor is None and plane_resident:
-        raise ValueError(
-            f"backend {backend.name!r} has no plane-resident IR executor; "
-            "use the 'bitslice' or 'native' backend or plane_resident=False"
-        )
-    return executor
-
-
 def _run_program_chunked(backend, program, inputs: "Dict[str, List[int]]"):
-    """Run a mask-less FieldProgram on int lists, compiled where possible.
+    """Run a mask-less FieldProgram on int lists through the backend's executor.
 
-    IR-capable backends get the compiled lowering, chunked at the
-    executor's lane width (pack → run → unpack per chunk); everything
-    else interprets the same program via :func:`execute_program`.
+    Chunked at the executor's lane width: pack → run → unpack per chunk.
     """
     executor = backend.ir_executor()
-    if executor is None:
-        return execute_program(program, backend, inputs)
     columns = [inputs[name] for name, _ in program.ir.inputs]
     out_names = [name for name, _ in program.ir.outputs]
     count = len(columns[0])
@@ -530,7 +512,6 @@ def _finalize_projective(curve, backend, x_acc, y_acc, z_acc):
 def _run_masked_steps(
     curve,
     backend,
-    plane_resident,
     count,
     rows_for,
     *,
@@ -547,29 +528,13 @@ def _run_masked_steps(
     has_add)`` supplies the :class:`~repro.backends.ir.FieldProgram` of
     an event class — the τ evaluator keys on the folded squaring count,
     the comb evaluator has a single class.  Every lane starts from the
-    not-yet-started LD sentinel ``(1, 1, 0)``.  Runs plane/word-resident
-    on IR-capable backends — chunked at the executor's lane width, each
-    chunk packing once, stepping per event and unpacking once — and
-    interprets the same programs everywhere else.  Returns the final
+    not-yet-started LD sentinel ``(1, 1, 0)``.  Runs through the
+    backend's FieldIR executor, chunked at its lane width: each chunk
+    packs once, steps per event and unpacks once.  Returns the final
     accumulator triple as int lists.
     """
-    executor = _resolve_executor(backend, plane_resident)
+    executor = backend.ir_executor()
     tracer = _trace.TRACER
-    if executor is None:
-        state = {"X": [1] * count, "Y": [1] * count, "Z": [0] * count}
-        for key, row in rows_for(0, count):
-            if row is None:
-                out = execute_program(program_for(key, False), backend, state)
-            else:
-                x2, y2, add_bits, init_bits = row
-                out = execute_program(
-                    program_for(key, True),
-                    backend,
-                    {**state, "x2": x2, "y2": y2},
-                    {"add": add_bits, "init": init_bits},
-                )
-            state = {"X": out["Xn"], "Y": out["Yn"], "Z": out["Zn"]}
-        return state["X"], state["Y"], state["Z"]
     compiled: "Dict[Tuple[object, bool], object]" = {}
 
     def compile_for(key, has_add):
@@ -662,7 +627,6 @@ def multiply_tau_batch(
     scalars: "List[int]",
     *,
     backend,
-    plane_resident: "Optional[bool]" = None,
     width: int = DEFAULT_TAU_WIDTH,
 ) -> "List[Point]":
     """Batched τ-adic ladder over independent ``(point, scalar)`` lanes.
@@ -747,7 +711,6 @@ def multiply_tau_batch(
     x_acc, y_acc, z_acc = _run_masked_steps(
         curve,
         backend,
-        plane_resident,
         count,
         rows_for,
         program_for=program_for,
@@ -893,7 +856,6 @@ def multiply_comb_batch(
     scalars: "List[int]",
     *,
     backend,
-    plane_resident: "Optional[bool]" = None,
     teeth: int = DEFAULT_COMB_TEETH,
     store: "Optional[ArtifactStore]" = None,
 ) -> "List[Point]":
@@ -949,7 +911,6 @@ def multiply_comb_batch(
     x_acc, y_acc, z_acc = _run_masked_steps(
         curve,
         backend,
-        plane_resident,
         count,
         rows_for,
         program_for=lambda key, has_add: double_add_program(curve),

@@ -224,6 +224,10 @@ def poly_square(a: int) -> int:
     return result
 
 
+#: ``poly_square`` of every byte: squaring spreads bit ``i`` to bit ``2i``.
+_BYTE_SQUARES = tuple(poly_square(byte) for byte in range(256))
+
+
 def poly_powmod(base: int, exponent: int, modulus: int) -> int:
     """Compute ``base**exponent mod modulus`` by square-and-multiply.
 
@@ -304,11 +308,27 @@ def is_irreducible(poly: int) -> bool:
         return False
     y = 0b10
     # Repeated squaring of y modulo poly: after k squarings we hold y^(2^k).
+    # Each squaring spreads bits per byte, then folds y^m = Σ y^e over the
+    # modulus's nonzero low exponents e: few XORs per fold for the sparse
+    # moduli the catalog searches.
+    low_exponents = exponents(poly)[1:]
+    low_mask = (1 << m) - 1
     power = y
     powers_at = {}
     needed = {m} | {m // p for p in distinct_prime_factors(m)}
     for step in range(1, m + 1):
-        power = poly_mulmod(power, power, poly)
+        square = 0
+        shift = 0
+        while power:
+            square |= _BYTE_SQUARES[power & 0xFF] << shift
+            power >>= 8
+            shift += 16
+        while square > low_mask:
+            high = square >> m
+            square &= low_mask
+            for exp in low_exponents:
+                square ^= high << exp
+        power = square
         if step in needed:
             powers_at[step] = power
     if powers_at[m] != y:

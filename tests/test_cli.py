@@ -352,27 +352,13 @@ class TestEcdhCommand:
         out = capsys.readouterr().out
         assert f"backend {backend}" in out and "byte-identical" in out
 
-    @pytest.mark.parametrize("ladder, label", [("planes", "plane-resident"), ("steps", "per-step")])
-    def test_ecdh_ladder_selection(self, ladder, label, capsys):
-        pytest.importorskip("numpy")
-        assert main(
-            ["ecdh", "--curve", "T-13", "--batch", "4", "--check", "4",
-             "--backend", "bitslice", "--ladder", ladder]
-        ) == 0
-        out = capsys.readouterr().out
-        # T-13 is Koblitz, so the auto scalar-rep annotates the label
-        # ("(plane-resident ladder, tau-adic scalars)").
-        assert f"({label} ladder" in out and "byte-identical" in out
-
-    def test_ecdh_ladder_planes_needs_the_capability(self):
-        with pytest.raises(SystemExit, match="plane-resident"):
-            main(["ecdh", "--curve", "T-13", "--batch", "2", "--backend", "engine",
-                  "--ladder", "planes"])
-
-    def test_ecdh_default_ladder_reports_the_path(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(["ecdh", "--curve", "T-13", "--batch", "2", "--backend", "bitslice"]) == 0
-        assert "(plane-resident ladder" in capsys.readouterr().out
+    @pytest.mark.parametrize("backend", ["engine", "bitslice"])
+    def test_ecdh_reports_backend_and_scalar_recoding(self, backend, capsys):
+        if backend == "bitslice":
+            pytest.importorskip("numpy")
+        assert main(["ecdh", "--curve", "T-13", "--batch", "2", "--backend", backend]) == 0
+        # T-13 is Koblitz, so the auto scalar-rep rides the τ-adic ladder.
+        assert f"backend {backend} (tau-adic scalars)" in capsys.readouterr().out
 
 
 class TestStatsCommand:
@@ -494,9 +480,12 @@ class TestBenchProfile:
         assert "(outside passes)" in out
         assert "ladder-step-lanes/s" in out
 
-    def test_profile_requires_an_ir_backend(self):
-        with pytest.raises(SystemExit, match="FieldIR executor"):
-            main(["bench", "-m", "8", "-n", "2", "--backend", "python", "--profile"])
+    def test_profile_on_an_interpreting_backend_prints_the_step_total(self, capsys):
+        assert main(["bench", "-m", "8", "-n", "2", "--backend", "python", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "interpreting executor" in out and "no per-pass spans" in out
+        assert "ir.pass." not in out and "(outside passes)" not in out
+        assert "ladder-step-lanes/s" in out
 
 
 class TestDashboardCommand:

@@ -26,6 +26,20 @@ from repro.galois.gf2poly import (
 )
 
 
+def _mobius(n: int) -> int:
+    """The Möbius function by trial division (independent of the library)."""
+    sign = 1
+    factor = 2
+    while factor * factor <= n:
+        if n % factor == 0:
+            n //= factor
+            if n % factor == 0:
+                return 0
+            sign = -sign
+        factor += 1
+    return -sign if n > 1 else sign
+
+
 class TestBasics:
     def test_degree_of_zero_is_minus_one(self):
         assert degree(0) == -1
@@ -162,15 +176,13 @@ class TestIrreducibility:
         assert is_irreducible(0b10)
         assert is_irreducible(0b11)
 
-    def test_count_of_irreducible_degree_4(self):
-        # There are exactly 3 irreducible polynomials of degree 4 over GF(2).
-        count = sum(1 for poly in range(1 << 4, 1 << 5) if is_irreducible(poly))
-        assert count == 3
-
-    def test_count_of_irreducible_degree_5(self):
-        # There are exactly 6 irreducible polynomials of degree 5 over GF(2).
-        count = sum(1 for poly in range(1 << 5, 1 << 6) if is_irreducible(poly))
-        assert count == 6
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_count_of_irreducible_polynomials_matches_gauss(self, d):
+        # Gauss: (1/d) * sum over k | d of mu(d/k) * 2^k irreducibles of
+        # degree d over GF(2) (3 for d = 4, 6 for d = 5, 335 for d = 12).
+        count = sum(1 for poly in range(1 << d, 1 << (d + 1)) if is_irreducible(poly))
+        expected = sum(_mobius(d // k) << k for k in range(1, d + 1) if d % k == 0) // d
+        assert count == expected
 
     def test_distinct_prime_factors(self):
         assert distinct_prime_factors(1) == []

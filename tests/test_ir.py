@@ -1,25 +1,25 @@
 """The formula compiler: FieldIR tracing, level-scheduled fusion, executors.
 
-Acceptance contract of the PR 6 tentpole: the entire López-Dahab ladder
-step is traced **once** (:mod:`repro.curves.formulas`), scheduled once per
-curve into fused passes, and runs byte-identically on every substrate —
-the compiled plane path, the per-step batch interpreter and the scalar
-reference ladder must agree lane for lane on the parity grid, including
-edge scalars (0, 1, n−1, mixed widths) and batch sizes straddling the
-plane chunk boundary.  The deprecated :class:`PlaneCompute` op methods
-must keep working as shims but warn.
+The entire López-Dahab ladder step is traced **once**
+(:mod:`repro.curves.formulas`), scheduled once per curve into fused
+passes, and runs byte-identically through every backend's executor — the
+compiled plane path (bitslice), the interpreting executor (python/engine)
+and the scalar reference ladder must agree lane for lane on the parity
+grid, including edge scalars (0, 1, n−1, mixed widths) and batch sizes
+straddling the plane chunk boundary.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import (
+    InterpretingIRExecutor,
     IRBuilder,
     cached_program,
     execute_program,
@@ -164,21 +164,59 @@ class TestExecuteProgramParity:
         assert executor.unpack(outputs["r"]) == interpreted
 
 
+class TestInterpretingExecutor:
+    """python/engine run every formula through the same executor surface."""
+
+    @pytest.mark.parametrize("name", ["python", "engine"])
+    def test_scalar_backends_return_the_interpreting_executor(self, name):
+        executor = get_backend(name, GF2_13).ir_executor()
+        assert isinstance(executor, InterpretingIRExecutor)
+        assert executor.chunk_size == sys.maxsize  # a batch is one chunk
+        assert "interpreting executor" in executor.describe()
+
+    def test_boundary_is_plain_int_lists(self):
+        executor = get_backend("python", GF2_13).ir_executor()
+        packed = executor.pack([3, 1, 4])
+        assert packed.array == [3, 1, 4]
+        assert executor.unpack(executor.vector(packed.array, 3)) == [3, 1, 4]
+        assert executor.broadcast_bits([1, 0, 1]) == [1, 0, 1]
+
+    @pytest.mark.parametrize("name", ["python", "engine"])
+    def test_run_arrays_matches_execute_program(self, name):
+        field = GF2_13
+        backend = get_backend(name, field)
+        program = _probe_program(field)
+        rng = random.Random(11)
+        a = [rng.getrandbits(13) for _ in range(20)]
+        b = [rng.getrandbits(13) for _ in range(20)]
+        bits = [rng.getrandbits(1) for _ in range(20)]
+        executor = backend.ir_executor()
+        (result,) = executor.compile(program).run_arrays(
+            (executor.pack(a).array, executor.pack(b).array), (executor.broadcast_bits(bits),)
+        )
+        assert result == execute_program(program, backend, {"a": a, "b": b}, {"bit": bits})["r"]
+        assert result == [_probe_reference(field, x, y, bit) for x, y, bit in zip(a, b, bits)]
+
+    def test_rejects_programs_of_another_degree(self):
+        executor = get_backend("python", GF2_13).ir_executor()
+        with pytest.raises(ValueError, match="m=163"):
+            executor.compile(_probe_program(GF2_163))
+
+
 @requires_numpy
 class TestFusedLadderParity:
-    """ISSUE 6 satellite: fused IR ladder == per-step path == scalar reference."""
+    """Fused IR ladder: bitslice planes == interpreting executor == scalar reference."""
 
     @pytest.mark.parametrize("name", PARITY_CURVES)
     def test_fused_ladder_matches_both_paths_on_edge_scalars(self, name):
         curve = curve_by_name(name)
         rng = random.Random(2018)
-        backend = get_backend("bitslice", curve.field)
         scalars = _edge_scalars(curve, 14, rng)
         points = [curve.generator] * len(scalars)
-        fused = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        steps = curve.multiply_batch(points, scalars, backend=backend, plane_resident=False)
+        fused = curve.multiply_batch(points, scalars, backend="bitslice")
+        interpreted = curve.multiply_batch(points, scalars, backend="engine")
         reference = [curve.multiply(curve.generator, scalar) for scalar in scalars]
-        assert fused == steps == reference
+        assert fused == interpreted == reference
 
     @pytest.mark.parametrize("batch", [7, 8, 9, 17])
     def test_chunk_boundary_batches(self, batch):
@@ -189,60 +227,19 @@ class TestFusedLadderParity:
         assert backend.ir_executor().chunk_size == 8
         scalars = _edge_scalars(curve, batch, rng)
         points = [curve.random_point(rng) for _ in scalars]
-        fused = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        assert fused == [curve.multiply(p, k) for p, k in zip(points, scalars)]
+        fused = curve.multiply_batch(points, scalars, backend=backend)
+        interpreted = curve.multiply_batch(points, scalars, backend="python")
+        assert fused == interpreted == [curve.multiply(p, k) for p, k in zip(points, scalars)]
 
     @given(st.lists(st.integers(min_value=0, max_value=(1 << 14) - 1), min_size=1, max_size=24))
     @settings(max_examples=20, deadline=None)
     def test_fused_ladder_property_t13(self, scalars):
         curve = curve_by_name("T-13")
-        backend = get_backend("bitslice", curve.field)
         points = [curve.generator] * len(scalars)
-        fused = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        steps = curve.multiply_batch(points, scalars, backend=backend, plane_resident=False)
+        fused = curve.multiply_batch(points, scalars, backend="bitslice")
+        interpreted = curve.multiply_batch(points, scalars, backend="python")
         reference = [curve.multiply(curve.generator, scalar) for scalar in scalars]
-        assert fused == steps == reference
-
-
-@requires_numpy
-class TestDeprecationShims:
-    """The five PlaneCompute op methods survive as warning shims."""
-
-    def _plane(self):
-        return get_backend("bitslice", GF2_163).plane_compute()
-
-    def test_every_op_method_warns(self):
-        plane = self._plane()
-        rng = random.Random(5)
-        values = [rng.getrandbits(163) for _ in range(10)]
-        packed = plane.pack(values)
-        with pytest.warns(DeprecationWarning, match="multiply_planes"):
-            product = plane.multiply_planes(packed, packed)
-        with pytest.warns(DeprecationWarning, match="apply_linear_planes"):
-            plane.apply_linear_planes(GF2_163.square_map, packed)
-        with pytest.warns(DeprecationWarning, match="xor_planes"):
-            plane.xor_planes(packed, product)
-        with pytest.warns(DeprecationWarning, match="broadcast_bits"):
-            mask = plane.broadcast_bits([1] * 10)
-        with pytest.warns(DeprecationWarning, match="select_planes"):
-            plane.select_planes(mask, packed, product)
-
-    def test_shims_still_compute_through_the_ir(self):
-        plane = self._plane()
-        field = GF2_163
-        rng = random.Random(6)
-        a = [rng.getrandbits(163) for _ in range(9)]
-        b = [rng.getrandbits(163) for _ in range(9)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            product = plane.unpack(plane.multiply_planes(plane.pack(a), plane.pack(b)))
-        assert product == [field.multiply(x, y) for x, y in zip(a, b)]
-
-    def test_pack_and_unpack_stay_quiet(self):
-        plane = self._plane()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert plane.unpack(plane.pack([1, 2, 3])) == [1, 2, 3]
+        assert fused == interpreted == reference
 
 
 class TestProgramMemoization:
@@ -278,11 +275,19 @@ class TestProgramMemoization:
         assert narrow.compile(program) is not executor.compile(program)
 
 
-@requires_numpy
 class TestDescribeSurface:
+    @requires_numpy
     def test_cli_bench_describe_prints_the_schedule(self, capsys):
         from repro.cli import main
 
         assert main(["bench", "--backend", "bitslice", "-m", "163", "-n", "66", "--describe"]) == 0
         out = capsys.readouterr().out
         assert "ld_step" in out and "6 fused passes" in out and "compiled:" in out
+
+    def test_cli_bench_describe_names_the_interpreting_executor(self, capsys):
+        from repro.cli import main
+
+        assert main(["bench", "--backend", "python", "-m", "16", "-n", "3", "--describe"]) == 0
+        out = capsys.readouterr().out
+        assert "FieldIR interpreting executor on python" in out
+        assert "ld_step" in out and "interpreted on python" in out

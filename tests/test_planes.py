@@ -1,12 +1,14 @@
-"""The plane-resident compute layer and the plane-resident batched ladder.
+"""The plane-resident compute layer and the batched ladder on every executor.
 
-Acceptance contract of the PR 5 tentpole: the entire batched Montgomery
-ladder can run in the uint64 plane domain — one pack, all steps on planes,
-one unpack — and stays **byte-identical** to the scalar-reference ladder on
-every tested curve, including batches mixing scalars of very different bit
-lengths (the masked plane-select path).  The :class:`PlaneProgram` lowering
-of GF(2)-linear maps must agree with the table-driven scalar maps
-lane-by-lane, pinned down by a hypothesis property for squaring.
+The bitslice backend's :class:`~repro.backends.planes.PlaneIRExecutor` runs
+whole FieldIR programs in the uint64 plane domain — one pack, every pass
+on planes, one unpack.  Its results must be **byte-identical** to the
+interpreting executor of the python/engine backends and to the scalar
+reference, single ops and whole ladders alike, including batches mixing
+scalars of very different bit lengths (the masked plane-select path).  The
+:class:`PlaneProgram` lowering of GF(2)-linear maps must agree with the
+table-driven scalar maps lane-by-lane, pinned down by a hypothesis
+property for squaring.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import (
+    IRBuilder,
     PlaneProgram,
     bitsliced_netlist,
     get_backend,
     numpy_available,
     plane_program,
+    schedule_program,
 )
 from repro.curves import curve_by_name, ecdh_batch, keygen_batch
 from repro.galois.field import GF2mField
@@ -48,107 +52,114 @@ def _mixed_scalars(curve, count, rng):
     return scalars[:count]
 
 
+def _single_op_program(kind, linear_map=None):
+    """A small GF(2^163) FieldIR program around one op kind."""
+    builder = IRBuilder(f"single_{kind}")
+    if kind == "mul":
+        builder.output("y", builder.mul(builder.input("a"), builder.input("b")))
+    elif kind == "mul2":
+        a, b, c, d = (builder.input(name) for name in "abcd")
+        builder.output("ab", builder.mul(a, b))
+        builder.output("cd", builder.mul(c, d))
+    elif kind == "linear":
+        builder.output("y", builder.apply_linear("map", builder.input("a")))
+    elif kind == "xor":
+        builder.output("y", builder.xor(builder.input("a"), builder.input("b")))
+    else:
+        bit = builder.mask_input("bit")
+        builder.output("y", builder.select(bit, builder.input("a"), builder.input("b")))
+    maps = {} if linear_map is None else {"map": linear_map}
+    return schedule_program(builder.build(), GF2_163.m, maps)
+
+
+def _run_on(backend_name, program, inputs, masks=None):
+    """Run ``program`` through ``backend_name``'s executor; unpacked outputs."""
+    executor = get_backend(backend_name, GF2_163).ir_executor()
+    outputs = executor.compile(program).run(
+        {name: executor.pack(values) for name, values in inputs.items()}, masks
+    )
+    return {name: executor.unpack(vector) for name, vector in outputs.items()}
+
+
 @requires_numpy
 class TestPlaneCapability:
-    def test_bitslice_advertises_plane_resident(self):
-        backend = get_backend("bitslice", GF2_163)
-        assert backend.capabilities.plane_resident
-        planes = backend.plane_compute()
-        assert planes is not None
-        assert planes.m == 163
-        assert backend.plane_compute() is planes  # cached per backend instance
-
-    @pytest.mark.parametrize("name", ["python", "engine"])
-    def test_other_backends_report_capability_absent(self, name):
-        backend = get_backend(name, GF2_163)
-        assert not backend.capabilities.plane_resident
-        assert backend.plane_compute() is None
-
-    def test_forcing_planes_on_a_scalar_backend_fails_loudly(self):
-        curve = curve_by_name("T-13")
-        point = curve.generator
-        with pytest.raises(ValueError, match="plane-resident"):
-            curve.multiply_batch([point], [3], backend="python", plane_resident=True)
-
     def test_describe_mentions_the_substrate(self):
-        planes = get_backend("bitslice", GF2_163).plane_compute()
-        assert "plane-resident" in planes.describe()
+        executor = get_backend("bitslice", GF2_163).ir_executor()
+        assert "plane executor" in executor.describe()
 
 
 @requires_numpy
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestPlaneVectorRoundtrip:
-    """Exercises the deprecated PlaneCompute op shims (see tests/test_ir.py)."""
+    """Single-op programs: bitslice planes == interpreting executor == reference."""
 
     def test_pack_unpack_is_identity(self):
-        planes = get_backend("bitslice", GF2_163).plane_compute()
+        executor = get_backend("bitslice", GF2_163).ir_executor()
         rng = random.Random(5)
         values = [0, 1, (1 << 163) - 1] + [rng.getrandbits(163) for _ in range(70)]
-        assert planes.unpack(planes.pack(values)) == values
+        assert executor.unpack(executor.pack(values)) == values
 
     def test_xor_and_select(self):
-        planes = get_backend("bitslice", GF2_163).plane_compute()
         rng = random.Random(6)
         a = [rng.getrandbits(163) for _ in range(67)]
         b = [rng.getrandbits(163) for _ in range(67)]
         bits = [rng.getrandbits(1) for _ in range(67)]
-        va, vb = planes.pack(a), planes.pack(b)
-        assert planes.unpack(planes.xor_planes(va, vb)) == [x ^ y for x, y in zip(a, b)]
-        mask = planes.broadcast_bits(bits)
-        selected = planes.unpack(planes.select_planes(mask, va, vb))
-        assert selected == [x if bit else y for x, y, bit in zip(a, b, bits)]
+        xor = _single_op_program("xor")
+        expected = {"y": [x ^ y for x, y in zip(a, b)]}
+        assert _run_on("bitslice", xor, {"a": a, "b": b}) == expected
+        assert _run_on("python", xor, {"a": a, "b": b}) == expected
+        select = _single_op_program("select")
+        expected = {"y": [x if bit else y for x, y, bit in zip(a, b, bits)]}
+        assert _run_on("bitslice", select, {"a": a, "b": b}, {"bit": bits}) == expected
+        assert _run_on("engine", select, {"a": a, "b": b}, {"bit": bits}) == expected
 
     def test_mismatched_batches_are_rejected(self):
-        planes = get_backend("bitslice", GF2_163).plane_compute()
+        executor = get_backend("bitslice", GF2_163).ir_executor()
         rng = random.Random(12)
-        narrow = planes.pack([rng.getrandbits(163) for _ in range(10)])   # 1 lane word
-        wide = planes.pack([rng.getrandbits(163) for _ in range(70)])     # 2 lane words
+        narrow = executor.pack([rng.getrandbits(163) for _ in range(10)])   # 1 lane word
+        wide = executor.pack([rng.getrandbits(163) for _ in range(70)])     # 2 lane words
         with pytest.raises(ValueError, match="one batch"):
-            planes.xor_planes(narrow, wide)
+            executor.compile(_single_op_program("xor")).run({"a": narrow, "b": wide})
         with pytest.raises(ValueError, match="one batch"):
-            planes.multiply_planes([narrow, wide], [wide, narrow])
-        mask = planes.broadcast_bits([1] * 10)
+            executor.compile(_single_op_program("mul")).run({"a": narrow, "b": wide})
+        mask = executor.broadcast_bits([1] * 10)
         with pytest.raises(ValueError, match="lane words"):
-            planes.select_planes(mask, wide, wide)
+            executor.compile(_single_op_program("select")).run({"a": wide, "b": wide}, {"bit": mask})
 
     def test_multiply_planes_single_and_stacked(self):
         field = GF2_163
-        planes = get_backend("bitslice", field).plane_compute()
         rng = random.Random(7)
-        a = [rng.getrandbits(163) for _ in range(33)]
-        b = [rng.getrandbits(163) for _ in range(33)]
-        c = [rng.getrandbits(163) for _ in range(33)]
-        d = [rng.getrandbits(163) for _ in range(33)]
-        va, vb, vc, vd = map(planes.pack, (a, b, c, d))
-        single = planes.unpack(planes.multiply_planes(va, vb))
-        assert single == [field.multiply(x, y) for x, y in zip(a, b)]
-        stacked = planes.multiply_planes([va, vc], [vb, vd])
-        assert planes.unpack(stacked[0]) == single
-        assert planes.unpack(stacked[1]) == [field.multiply(x, y) for x, y in zip(c, d)]
+        a, b, c, d = ([rng.getrandbits(163) for _ in range(33)] for _ in range(4))
+        single = _run_on("bitslice", _single_op_program("mul"), {"a": a, "b": b})
+        assert single == {"y": [field.multiply(x, y) for x, y in zip(a, b)]}
+        stacked_program = _single_op_program("mul2")
+        assert stacked_program.mul_pass_widths() == [2]  # one lane-stacked netlist pass
+        inputs = {"a": a, "b": b, "c": c, "d": d}
+        stacked = _run_on("bitslice", stacked_program, inputs)
+        assert stacked == _run_on("python", stacked_program, inputs)
+        assert stacked["ab"] == single["y"]
+        assert stacked["cd"] == [field.multiply(x, y) for x, y in zip(c, d)]
 
 
 @requires_numpy
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestPlaneProgram:
-    """Exercises the deprecated apply_linear_planes shim (see tests/test_ir.py)."""
-
     def test_square_program_matches_scalar_map(self):
         field = GF2_163
-        planes = get_backend("bitslice", field).plane_compute()
         rng = random.Random(8)
         values = [0, 1, (1 << 163) - 1] + [rng.getrandbits(163) for _ in range(100)]
-        squared = planes.unpack(planes.apply_linear_planes(field.square_map, planes.pack(values)))
-        assert squared == [field.square(value) for value in values]
+        program = _single_op_program("linear", field.square_map)
+        expected = {"y": [field.square(value) for value in values]}
+        assert _run_on("bitslice", program, {"a": values}) == expected
+        assert _run_on("python", program, {"a": values}) == expected
 
     def test_constant_multiplier_program(self):
         field = GF2_163
-        planes = get_backend("bitslice", field).plane_compute()
         rng = random.Random(9)
         constant = rng.getrandbits(163)
-        mul_c = field.constant_multiplier(constant)
+        program = _single_op_program("linear", field.constant_multiplier(constant))
         values = [rng.getrandbits(163) for _ in range(65)]
-        result = planes.unpack(planes.apply_linear_planes(mul_c, planes.pack(values)))
-        assert result == [field.multiply(constant, value) for value in values]
+        expected = {"y": [field.multiply(constant, value) for value in values]}
+        assert _run_on("bitslice", program, {"a": values}) == expected
+        assert _run_on("engine", program, {"a": values}) == expected
 
     def test_zero_and_identity_maps(self):
         import numpy as np
@@ -177,9 +188,8 @@ class TestPlaneProgram:
     @given(st.lists(st.integers(min_value=0, max_value=(1 << 163) - 1), min_size=1, max_size=96))
     @settings(max_examples=25, deadline=None)
     def test_plane_squaring_equals_field_square_lane_by_lane(self, values):
-        planes = get_backend("bitslice", GF2_163).plane_compute()
-        packed = planes.pack(values)
-        squared = planes.unpack(planes.apply_linear_planes(GF2_163.square_map, packed))
+        program = _single_op_program("linear", GF2_163.square_map)
+        squared = _run_on("bitslice", program, {"a": values})["y"]
         assert squared == [GF2_163.square(value) for value in values]
 
 
@@ -217,7 +227,7 @@ class TestNetlistMemoization:
 
 @requires_numpy
 class TestPlaneLadderParity:
-    """ISSUE 5 satellite: plane ladder == scalar reference on the parity grid."""
+    """Plane ladder == interpreting executor == scalar reference on the grid."""
 
     @pytest.mark.parametrize("name", PARITY_CURVES)
     def test_plane_ladder_matches_scalar_reference(self, name):
@@ -227,20 +237,19 @@ class TestPlaneLadderParity:
         scalars = _mixed_scalars(curve, 16, rng)
         generator = curve.generator
         points = [generator] * len(scalars)
-        plane = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
+        plane = curve.multiply_batch(points, scalars, backend=backend)
         reference = [curve.multiply(generator, scalar) for scalar in scalars]
         assert plane == reference
 
     @pytest.mark.parametrize("name", ["T-13", "K-163"])
-    def test_plane_and_step_paths_are_byte_identical(self, name):
+    def test_plane_and_interpreting_executors_are_byte_identical(self, name):
         curve = curve_by_name(name)
         rng = random.Random(99)
-        backend = get_backend("bitslice", curve.field)
         scalars = _mixed_scalars(curve, 12, rng)
         points = [curve.generator] * len(scalars)
-        plane = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        steps = curve.multiply_batch(points, scalars, backend=backend, plane_resident=False)
-        assert plane == steps
+        plane = curve.multiply_batch(points, scalars, backend="bitslice")
+        interpreted = curve.multiply_batch(points, scalars, backend="engine")
+        assert plane == interpreted
 
     def test_plane_ladder_chunks_large_batches(self):
         curve = curve_by_name("T-13")
@@ -248,30 +257,27 @@ class TestPlaneLadderParity:
         backend = get_backend("bitslice", curve.field, chunk_size=8)
         scalars = _mixed_scalars(curve, 37, rng)  # forces 5 plane chunks
         points = [curve.generator] * len(scalars)
-        plane = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
+        plane = curve.multiply_batch(points, scalars, backend=backend)
         assert plane == [curve.multiply(curve.generator, scalar) for scalar in scalars]
 
     def test_distinct_base_points_per_lane(self):
         curve = curve_by_name("T-13")
         rng = random.Random(11)
-        backend = get_backend("bitslice", curve.field)
         points = [curve.random_point(rng) for _ in range(9)]
         scalars = _mixed_scalars(curve, 9, rng)
-        plane = curve.multiply_batch(points, scalars, backend=backend, plane_resident=True)
-        assert plane == [curve.multiply(p, k) for p, k in zip(points, scalars)]
+        reference = [curve.multiply(p, k) for p, k in zip(points, scalars)]
+        assert curve.multiply_batch(points, scalars, backend="bitslice") == reference
+        assert curve.multiply_batch(points, scalars, backend="python") == reference
 
     def test_protocols_route_through_the_plane_ladder(self):
         curve = curve_by_name("K-163")
-        pairs = keygen_batch(curve, 6, seed=4, backend="bitslice", plane_resident=True)
+        pairs = keygen_batch(curve, 6, seed=4, backend="bitslice")
         reference = keygen_batch(curve, 6, seed=4, batched=False)
         assert [p.public for p in pairs] == [p.public for p in reference]
-        shared = ecdh_batch(
-            curve,
-            [p.private for p in pairs],
-            [p.public for p in reversed(pairs)],
-            backend="bitslice",
-            plane_resident=True,
-        )
+        privates = [p.private for p in pairs]
+        peers = [p.public for p in reversed(pairs)]
+        shared = ecdh_batch(curve, privates, peers, backend="bitslice")
+        assert shared == ecdh_batch(curve, privates, peers, backend="engine")
         assert shared == [
             curve.multiply(q.public, p.private) for p, q in zip(pairs, reversed(pairs))
         ]
