@@ -9,11 +9,13 @@ bench reports two figures on B-163:
 * **end to end** — ``ecdh_batch`` agreements per second (the ladder plus
   the batched y-recovery and on-curve checks), under the
   ``plane_ladders_per_s`` key the committed trajectory has always used;
-* **executor comparison** — a bench-local ladder loop run twice over the
-  same scheduled program: once through ``backend.ir_executor()`` (fused
-  uint64 plane passes on ``bitslice``, one C call per step on ``native``)
-  and once through an :class:`~repro.backends.ir.InterpretingIRExecutor`
-  built on the **same** backend, which interprets the program with
+* **executor comparison** — the batch ladder's register loop
+  (:func:`repro.curves.point.ladder_registers`, the one the batched
+  evaluator runs) timed twice over the same scheduled program: once
+  through ``backend.ir_executor()`` (fused uint64 plane passes on
+  ``bitslice``, one C call per step on ``native``) and once through an
+  :class:`~repro.backends.ir.InterpretingIRExecutor` built on the
+  **same** backend, which interprets the program with
   :func:`~repro.backends.ir.execute_program` over the backend's batch ops.
   The two loops' final ladder registers are asserted equal, and the pair
   is timed interleaved.
@@ -36,6 +38,7 @@ from _harness import best_of, best_of_interleaved, rate, write_bench_json
 from repro.backends import InterpretingIRExecutor, get_backend, numpy_available
 from repro.curves import curve_by_name, ecdh_batch
 from repro.curves.formulas import ladder_step_program
+from repro.curves.point import ladder_registers
 
 #: The headline grid point: NIST-degree B-163 at batch 256.
 DEFAULT_CURVE = "B-163"
@@ -49,21 +52,6 @@ COMMIT_PR = 8
 
 #: The default substrate (any backend with a compiled executor).
 DEFAULT_BACKEND = "bitslice"
-
-
-def ladder_registers(executor, program, base_x, scalars):
-    """The ladder loop: pack once, one ``run_arrays`` per scalar bit, unpack once."""
-    compiled = executor.compile(program)
-    count = len(base_x)
-    base = executor.pack(base_x).array
-    x1 = executor.pack([1] * count).array
-    z1 = executor.pack([0] * count).array
-    x2 = base.copy()
-    z2 = x1.copy()
-    for bit_index in range(max(s.bit_length() for s in scalars) - 1, -1, -1):
-        mask = executor.broadcast_bits([(s >> bit_index) & 1 for s in scalars])
-        x1, z1, x2, z2 = compiled.run_arrays((x1, z1, x2, z2, base), (mask,))
-    return tuple(executor.unpack(executor.vector(a, count)) for a in (x1, z1, x2, z2))
 
 
 def measure_plane_ladder(
@@ -91,10 +79,13 @@ def measure_plane_ladder(
 
     program = ladder_step_program(curve)
     base_x = [peer.x for peer in peers]
+    steps = (bound - 1).bit_length()
     (compiled_regs, compiled_s), (interpreted_regs, interpreted_s) = best_of_interleaved(
         [
-            lambda: ladder_registers(backend.ir_executor(), program, base_x, privates),
-            lambda: ladder_registers(InterpretingIRExecutor(backend), program, base_x, privates),
+            lambda: ladder_registers(backend.ir_executor(), program, base_x, privates, steps),
+            lambda: ladder_registers(
+                InterpretingIRExecutor(backend), program, base_x, privates, steps
+            ),
         ],
         repeats,
     )

@@ -28,10 +28,10 @@ import argparse
 import random
 
 from _harness import best_of_interleaved, rate, write_bench_json
-from bench_plane_ladder import ladder_registers
 from repro.backends import available_backends, get_backend, numpy_available
 from repro.curves import curve_by_name
 from repro.curves.formulas import ladder_step_program
+from repro.curves.point import ladder_registers
 from repro.telemetry import metrics as telemetry_metrics
 from repro.telemetry import trace as telemetry_trace
 
@@ -47,8 +47,12 @@ COMMIT_PR = 8
 
 
 def _compiled_ladder(backend, curve, base_x, scalars):
-    """The fused-formula ladder loop: one ``run_arrays`` call per step."""
-    return ladder_registers(backend.ir_executor(), ladder_step_program(curve), base_x, scalars)
+    """The batch ladder's register loop: one ``run_arrays`` call per step."""
+    bound = curve.order if curve.order is not None else curve.field.order
+    return ladder_registers(
+        backend.ir_executor(), ladder_step_program(curve), base_x, scalars,
+        (bound - 1).bit_length(),
+    )
 
 
 def _run_with_metrics(enabled, backend, curve, base_x, scalars):

@@ -21,8 +21,8 @@ the CLI — select a substrate by name instead of hard-coding a call path:
   Its :class:`PlaneIRExecutor` compiles whole formulas traced as
   :class:`FieldIR` (:mod:`repro.backends.ir`) into fused plane passes —
   lane-stacked netlist products, merged gather/XOR linear stages, masked
-  selects — so consumers pack a batch into a :class:`PlaneVector` once,
-  execute the compiled formula per step, and unpack once.
+  selects — so a batch is packed into uint64 planes once, runs the
+  compiled formula per step, and is unpacked once.
 * ``native`` (:class:`NativeBackend`) — the compiled word-level tier
   (:mod:`repro.backends.native`): a C kernel doing 64-bit carry-less
   multiplication (PCLMULQDQ when the CPU has it) plus sparse tail
@@ -37,7 +37,11 @@ the CLI — select a substrate by name instead of hard-coding a call path:
 Every backend has a FieldIR executor
 (:meth:`FieldBackend.ir_executor`): python and engine get the
 :class:`InterpretingIRExecutor`, which runs :func:`execute_program` over
-their batch ops, so the curve ladders run one loop on every backend.
+their batch ops.  All three executors share one surface (``pack``,
+``unpack``, ``broadcast_bits``, ``compile``, ``chunk_size``,
+``describe``), and one driver runs them: :func:`run_chunked` is the batch
+loop of every curve evaluator (pack once per chunk, one ``run_arrays``
+per step, unpack once) and :func:`run_program` its one-shot form.
 
 Selection: explicit ``backend=`` arguments (a name or an instance)
 anywhere batch APIs are exposed, the ``--backend`` CLI flag, or the
@@ -61,7 +65,6 @@ from .native import (
     CompiledNativeIR,
     NativeBackend,
     NativeIRExecutor,
-    NativeVector,
     native_available,
 )
 from .ir import (
@@ -71,13 +74,14 @@ from .ir import (
     IRBuilder,
     cached_program,
     execute_program,
+    run_chunked,
+    run_program,
     schedule_program,
 )
 from .planes import (
     CompiledPlaneIR,
     PlaneIRExecutor,
     PlaneProgram,
-    PlaneVector,
     plane_program,
 )
 from .python_int import PythonIntBackend
@@ -103,7 +107,6 @@ __all__ = [
     "CompiledNativeIR",
     "NativeBackend",
     "NativeIRExecutor",
-    "NativeVector",
     "native_available",
     "FieldIR",
     "FieldProgram",
@@ -111,11 +114,12 @@ __all__ = [
     "IRBuilder",
     "cached_program",
     "execute_program",
+    "run_chunked",
+    "run_program",
     "schedule_program",
     "CompiledPlaneIR",
     "PlaneIRExecutor",
     "PlaneProgram",
-    "PlaneVector",
     "plane_program",
     "PythonIntBackend",
     "BACKEND_ENV_VAR",

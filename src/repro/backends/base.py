@@ -160,9 +160,10 @@ class FieldBackend(ABC):
     def ir_executor(self):
         """The backend's FieldIR executor.
 
-        Every backend has one, so a curve formula runs through a single
-        loop: pack once, ``compile(program).run_arrays`` per step, unpack
-        once.  This base version is the
+        Every backend has one, so a curve formula runs through the single
+        driver :func:`~repro.backends.ir.run_chunked`: pack once,
+        ``compile(program).run_arrays`` per step, unpack once.  This base
+        version is the
         :class:`~repro.backends.ir.InterpretingIRExecutor`, which runs
         :func:`~repro.backends.ir.execute_program` over this backend's batch
         ops; bitslice and native override it with compiled lowerings.

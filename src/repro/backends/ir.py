@@ -28,9 +28,15 @@ scheduled *once* into fused passes, and handed to the backend's executor:
   and the python/engine backends get :class:`InterpretingIRExecutor`,
   which runs :func:`execute_program` over the backend's batch ops
   (gathering each MulPass into a single ``multiply_batch`` call).  All
-  three share one surface, so the curve layer has one loop per formula.
+  three share one surface: ``pack`` / ``unpack(array, lanes)`` /
+  ``broadcast_bits`` / ``compile`` / ``chunk_size`` / ``describe``, with
+  ``pack`` returning exactly what ``compile(program).run_arrays`` takes.
   :func:`execute_program` is also the reference the parity harness
   compares the compiled executors against.
+* :func:`run_chunked` is the one driver over that surface — the batch
+  loop of the binary, τ-adic and comb ladders (pack once per chunk, one
+  ``run_arrays`` per step, unpack once) — and :func:`run_program` its
+  one-shot form for straight-line formulas.
 
 Scheduled programs are memoized process-wide by their ``key`` (see
 :func:`cached_program`), mirroring the multiplier and netlist caches, so
@@ -40,9 +46,12 @@ repeated curve or backend constructions never re-schedule a formula.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..pipeline.store import LRUCache
+from ..telemetry import trace as _trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..galois.field import GF2LinearMap
@@ -59,6 +68,8 @@ __all__ = [
     "cached_program",
     "execute_program",
     "InterpretingIRExecutor",
+    "run_chunked",
+    "run_program",
 ]
 
 # Op kinds.  input/mask/const feed the program; mul is the only op that
@@ -654,10 +665,10 @@ class InterpretingIRExecutor:
 
     Same surface as :class:`~repro.backends.planes.PlaneIRExecutor` and
     :class:`~repro.backends.native.NativeIRExecutor`, over plain ``int``
-    lists: :meth:`pack` / :meth:`unpack` / :meth:`vector` copy lists,
-    :meth:`broadcast_bits` passes the bit list through, and
-    ``compile(program).run_arrays`` calls :func:`execute_program` on the
-    backend.  There is no lane buffer to bound, so a batch is one chunk.
+    lists: :meth:`pack` / :meth:`unpack` copy lists, :meth:`broadcast_bits`
+    passes the bit list through, and ``compile(program).run_arrays`` calls
+    :func:`execute_program` on the backend.  There is no lane buffer to
+    bound, so a batch is one chunk.
     """
 
     chunk_size = sys.maxsize
@@ -666,14 +677,11 @@ class InterpretingIRExecutor:
         self.backend = backend
         self.m = backend.field.m
 
-    def pack(self, values: Sequence[int]) -> "IntVector":
-        return IntVector(values)
+    def pack(self, values: Sequence[int]) -> List[int]:
+        return list(values)
 
-    def unpack(self, vector: Sequence[int]) -> List[int]:
-        return list(vector)
-
-    def vector(self, array: Sequence[int], lanes: int) -> Sequence[int]:
-        return array
+    def unpack(self, array: Sequence[int], lanes: int) -> List[int]:
+        return list(array[:lanes])
 
     def broadcast_bits(self, bits: Sequence[int]) -> Sequence[int]:
         return bits
@@ -688,21 +696,6 @@ class InterpretingIRExecutor:
     def describe(self) -> str:
         """One-line summary used by the CLI and benchmarks."""
         return f"FieldIR interpreting executor on {self.backend.describe()}"
-
-
-class IntVector(list):
-    """A packed batch of the interpreting executor: the int list itself.
-
-    ``array`` returns ``self`` so the executor flows of the curve layer
-    (``pack(...).array`` fed to ``run_arrays``) read the same on every
-    backend, as :class:`~repro.backends.native.NativeVector` does.
-    """
-
-    __slots__ = ()
-
-    @property
-    def array(self) -> "IntVector":
-        return self
 
 
 class InterpretedProgram:
@@ -726,10 +719,97 @@ class InterpretedProgram:
         )
         return [outputs[name] for name in self.output_names]
 
-    def run(self, inputs: Mapping[str, Sequence[int]], masks=None) -> Dict[str, List[int]]:
-        """Name-keyed execution (the compiled executors' ``run`` surface)."""
-        return execute_program(self.program, self.backend, inputs, masks)
-
     def describe(self) -> str:
         """Structural summary of the scheduled program plus the substrate."""
         return f"{self.program.describe()} interpreted on {self.backend.describe()}"
+
+
+# --------------------------------------------------------------------- driver
+def run_chunked(
+    executor,
+    state: Sequence[Sequence[int]],
+    steps: Callable[[int, int], Iterable[Tuple[FieldProgram, Sequence, Sequence]]],
+    *,
+    constants: Sequence[Sequence[int]] = (),
+    span: Optional[str] = None,
+) -> List[List[int]]:
+    """Drive a batch through a schedule of FieldIR steps on one executor.
+
+    The one batch loop of every curve evaluator.  The batch is cut into
+    chunks of ``executor.chunk_size`` lanes; per chunk the ``state`` and
+    ``constants`` columns (equal-length int lists) are packed **once**,
+    then ``steps(start, stop)`` yields one ``(program, columns, masks)``
+    per step for the lanes ``[start, stop)`` and each runs as
+    ``compiled.run_arrays(state + constants + packed columns, broadcast
+    masks)`` — its outputs become the next state — and the final state is
+    unpacked **once**.  ``columns`` are per-step gathered int lists and
+    ``masks`` 0/1 bit lists, both one entry per chunk lane.  ``span``
+    names the ``<span>.pack`` / ``.step`` / ``.unpack`` trace spans (none
+    when ``None``).  Returns the final state columns over the whole batch.
+    """
+    lanes = len(state[0])
+    if any(len(column) != lanes for column in (*state, *constants)):
+        raise ValueError("state and constant columns differ in length")
+    if not lanes:
+        raise ValueError("a batch needs at least one lane")
+    tracer = _trace.TRACER if span else _trace.NullTracer()
+    pack_span, step_span, unpack_span = (f"{span}.{part}" for part in ("pack", "step", "unpack"))
+    pack, broadcast = executor.pack, executor.broadcast_bits
+    compiled: Dict[FieldProgram, object] = {}
+    result: List[List[int]] = []
+    for start in range(0, lanes, executor.chunk_size):
+        stop = min(start + executor.chunk_size, lanes)
+        width = stop - start
+        with tracer.span(pack_span, lanes=width):
+            arrays = [pack(column[start:stop]) for column in state]
+            fixed = [pack(column[start:stop]) for column in constants]
+        for program, columns, masks in steps(start, stop):
+            for column in (*columns, *masks):
+                if len(column) != width:
+                    raise ValueError(f"a step column covers {len(column)} lanes of the {width}-lane chunk")
+            with tracer.span(step_span):
+                run = compiled.get(program)
+                if run is None:
+                    run = compiled[program] = executor.compile(program)
+                arrays = run.run_arrays(
+                    arrays + fixed + [pack(column) for column in columns],
+                    [broadcast(bits) for bits in masks],
+                )
+        with tracer.span(unpack_span, lanes=width):
+            unpacked = [executor.unpack(array, width) for array in arrays]
+        if not result:
+            result = unpacked
+        else:
+            for column, part in zip(result, unpacked):
+                column += part
+    return result
+
+
+def run_program(
+    executor,
+    program: FieldProgram,
+    inputs: Mapping[str, Sequence[int]],
+    masks: Optional[Mapping[str, Sequence[int]]] = None,
+) -> Dict[str, List[int]]:
+    """One-shot execution of ``program`` over named int columns.
+
+    :func:`run_chunked` with the inputs as the state and a single step;
+    returns the outputs by name.
+    """
+    ir = program.ir
+    columns = []
+    for name, _ in ir.inputs:
+        if name not in inputs:
+            raise KeyError(f"program {ir.name!r} needs input {name!r}")
+        columns.append(inputs[name])
+    bits = []
+    for name, _ in ir.mask_inputs:
+        if masks is None or name not in masks:
+            raise KeyError(f"program {ir.name!r} needs mask {name!r}")
+        bits.append(masks[name])
+    outputs = run_chunked(
+        executor,
+        columns,
+        lambda start, stop: [(program, (), [mask[start:stop] for mask in bits])],
+    )
+    return {name: column for (name, _), column in zip(ir.outputs, outputs)}

@@ -30,7 +30,7 @@ the interpreted tiers (:func:`native_available` is the predicate).
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ...telemetry import metrics as _metrics
 from ...telemetry import trace as _trace
@@ -44,7 +44,6 @@ __all__ = [
     "CompiledNativeIR",
     "NativeBackend",
     "NativeIRExecutor",
-    "NativeVector",
     "native_available",
 ]
 
@@ -92,45 +91,6 @@ def native_available() -> bool:
 
 def _lane_words_for(lanes: int) -> int:
     return max(1, (lanes + 63) // 64)
-
-
-class NativeVector:
-    """A batch of field elements as one contiguous word buffer.
-
-    ``buf`` holds ``lanes`` elements of ``nw`` little-endian uint64 words
-    each (element-major, the layout the C kernel indexes).  ``array``
-    returns ``self`` so the executor flows of :mod:`repro.curves.point`
-    (``pack(...).array`` / ``.copy()`` / ``run_arrays``) work unchanged
-    across the plane and native executors.
-    """
-
-    __slots__ = ("buf", "lanes", "nw")
-
-    def __init__(self, buf: bytearray, lanes: int, nw: int) -> None:
-        self.buf = buf
-        self.lanes = lanes
-        self.nw = nw
-
-    @property
-    def array(self) -> "NativeVector":
-        return self
-
-    @property
-    def lane_words(self) -> int:
-        return _lane_words_for(self.lanes)
-
-    def copy(self) -> "NativeVector":
-        return NativeVector(bytearray(self.buf), self.lanes, self.nw)
-
-
-class NativeMask:
-    """A packed per-lane select mask (``lane_words`` little-endian words)."""
-
-    __slots__ = ("buf", "lane_words")
-
-    def __init__(self, buf: bytes, lane_words: int) -> None:
-        self.buf = buf
-        self.lane_words = lane_words
 
 
 class NativeBackend(FieldBackend):
@@ -293,9 +253,7 @@ class CompiledNativeIR:
         self.program = program
         self.m = program.m
         ir = program.ir
-        self.input_names = [name for name, _ in ir.inputs]
         self.mask_names = [name for name, _ in ir.mask_inputs]
-        self.output_names = [name for name, _ in ir.outputs]
         self._input_vids = [vid for _, vid in ir.inputs]
         self._output_vids = [vid for _, vid in ir.outputs]
         self._nreg = program.op_count
@@ -374,32 +332,34 @@ class CompiledNativeIR:
             self._regs[count] = regs
         return regs
 
-    def run_arrays(self, input_arrays: Sequence[NativeVector],
-                   mask_arrays: Sequence[NativeMask]) -> List[NativeVector]:
-        """Execute over :class:`NativeVector` s in declared input order.
+    def run_arrays(self, input_arrays: Sequence[bytearray],
+                   mask_arrays: Sequence[bytes]) -> List[bytearray]:
+        """Execute over packed word buffers in declared input order.
 
+        ``input_arrays`` are element-major buffers of ``nw`` little-endian
+        words per lane (as built by :meth:`NativeIRExecutor.pack`);
         ``mask_arrays`` are packed lane masks (one per declared mask input,
         as built by :meth:`NativeIRExecutor.broadcast_bits`).  Returns
-        fresh output vectors in declared output order — the caller may
+        fresh output buffers in declared output order — the caller may
         feed them back in as the next step's inputs.
         """
         backend = self.executor.backend
         ffi = backend._ffi
         nw = self.executor.nw
-        count = input_arrays[0].lanes
+        stride_bytes = len(input_arrays[0])
+        stride = stride_bytes // 8
+        count = stride // nw
         lane_words = _lane_words_for(count)
-        stride = count * nw
-        stride_bytes = stride * 8
         if len(self.mask_names) == 0:
             masks_buf = self._empty_masks
         elif len(self.mask_names) == 1:
-            masks_buf = mask_arrays[0].buf
+            masks_buf = mask_arrays[0]
         else:
-            masks_buf = b"".join(bytes(mask.buf) for mask in mask_arrays)
+            masks_buf = b"".join(mask_arrays)
         with self._lock:
             regs = self._regs_for(count)
             for vid, vector in zip(self._input_vids, input_arrays):
-                ffi.memmove(regs + vid * stride, vector.buf, stride_bytes)
+                ffi.memmove(regs + vid * stride, vector, stride_bytes)
             for vid, const_bytes in self._consts:
                 ffi.memmove(regs + vid * stride, const_bytes * count, stride_bytes)
             run = backend._ext.lib.gf2m_run_program
@@ -427,47 +387,8 @@ class CompiledNativeIR:
             for vid in self._output_vids:
                 buf = bytearray(stride_bytes)
                 ffi.memmove(buf, regs + vid * stride, stride_bytes)
-                outputs.append(NativeVector(buf, count, nw))
+                outputs.append(buf)
         return outputs
-
-    def run(
-        self,
-        inputs: Mapping[str, NativeVector],
-        masks: Optional[Mapping[str, Sequence[int]]] = None,
-    ) -> Dict[str, NativeVector]:
-        """Name-keyed execution over :class:`NativeVector` s.
-
-        Mask streams may be plain 0/1 bit sequences (broadcast here) or
-        prebuilt :class:`NativeMask` es.  All inputs must share one batch.
-        """
-        vectors = []
-        for name in self.input_names:
-            if name not in inputs:
-                raise KeyError(f"program {self.program.ir.name!r} needs input {name!r}")
-            vectors.append(inputs[name])
-        first = vectors[0]
-        for vector in vectors[1:]:
-            if vector.lanes != first.lanes or vector.nw != first.nw:
-                raise ValueError(
-                    f"inputs of one batch expected: {vector.lanes} lanes "
-                    f"x{vector.nw} words vs {first.lanes} lanes x{first.nw} words"
-                )
-        mask_arrays = []
-        for name in self.mask_names:
-            if masks is None or name not in masks:
-                raise KeyError(f"program {self.program.ir.name!r} needs mask {name!r}")
-            stream = masks[name]
-            if isinstance(stream, (list, tuple)):
-                stream = self.executor.broadcast_bits(stream)
-            if stream.lane_words != first.lane_words:
-                raise ValueError(
-                    f"mask {name!r} covers {stream.lane_words} lane words, batch "
-                    f"needs {first.lane_words}; build it with broadcast_bits "
-                    "over the same batch"
-                )
-            mask_arrays.append(stream)
-        outputs = self.run_arrays([vector.array for vector in vectors], mask_arrays)
-        return dict(zip(self.output_names, outputs))
 
     def describe(self) -> str:
         """Structural summary of the scheduled program plus the substrate."""
@@ -477,11 +398,11 @@ class CompiledNativeIR:
 class NativeIRExecutor:
     """The native *IR executor* capability of a :class:`NativeBackend`.
 
-    Same surface as :class:`~repro.backends.planes.PlaneIRExecutor` — the
-    consumers in :mod:`repro.curves.point` drive either interchangeably:
-    :meth:`pack` / :meth:`unpack` at the batch boundary,
+    Same surface as :class:`~repro.backends.planes.PlaneIRExecutor`, so
+    the shared driver (:func:`~repro.backends.ir.run_chunked`) runs either
+    interchangeably: :meth:`pack` / :meth:`unpack` at the batch boundary,
     :meth:`broadcast_bits` for per-lane control masks, :meth:`compile` for
-    the memoized lowering, :meth:`vector` to rewrap raw step outputs.
+    the memoized lowering.
     """
 
     def __init__(self, backend: NativeBackend) -> None:
@@ -497,22 +418,16 @@ class NativeIRExecutor:
         return self.backend.chunk_size
 
     # ------------------------------------------------------------- boundary
-    def pack(self, values: Sequence[int]) -> NativeVector:
-        """Pack validated field elements into a :class:`NativeVector` (once)."""
-        return NativeVector(
-            bytearray(self.backend._pack(values)), len(values), self.nw
-        )
+    def pack(self, values: Sequence[int]) -> bytearray:
+        """Pack field elements into one element-major word buffer (once)."""
+        return bytearray(self.backend._pack(values))
 
-    def unpack(self, vector: NativeVector) -> List[int]:
-        """Unpack a :class:`NativeVector` back into field elements (once)."""
-        return self.backend._unpack(vector.buf, vector.lanes)
+    def unpack(self, array: bytearray, lanes: int) -> List[int]:
+        """The first ``lanes`` field elements of a word buffer (once)."""
+        return self.backend._unpack(array, lanes)
 
-    def vector(self, array: NativeVector, lanes: int) -> NativeVector:
-        """Rewrap a raw ``run_arrays`` output as a batch of ``lanes`` lanes."""
-        return NativeVector(array.buf, lanes, array.nw)
-
-    def broadcast_bits(self, bits: Sequence[int]) -> NativeMask:
-        """Pack one control bit per lane into a :class:`NativeMask`.
+    def broadcast_bits(self, bits: Sequence[int]) -> bytes:
+        """Pack one control bit per lane into ``lane_words`` little-endian words.
 
         Bit ``p`` of the result is ``bits[p] & 1``; dead lanes stay zero.
         """
@@ -520,8 +435,7 @@ class NativeIRExecutor:
         for position, bit in enumerate(bits):
             if bit & 1:
                 packed |= 1 << position
-        lane_words = _lane_words_for(len(bits))
-        return NativeMask(packed.to_bytes(lane_words * 8, "little"), lane_words)
+        return packed.to_bytes(_lane_words_for(len(bits)) * 8, "little")
 
     # ------------------------------------------------------------- programs
     def compile(self, program: FieldProgram) -> CompiledNativeIR:

@@ -5,10 +5,10 @@ multiplication fast, but a consumer like the Montgomery ladder calls it
 ``~m`` times per scalar multiplication — and every call pays two full
 bit-matrix transposes (rows → planes, planes → rows) plus per-element
 scalar Python for everything between the multiplications.  This module
-removes the round trips: a batch of field elements is packed into a
-:class:`PlaneVector` **once**, every operation of the consuming algorithm
-runs directly on the ``(m, lane_words)`` ``uint64`` plane representation,
-and rows are unpacked **once** at the end.
+removes the round trips: a batch of field elements is packed into an
+``(m, lane_words)`` ``uint64`` plane array **once**, every operation of the
+consuming algorithm runs directly on that plane representation, and rows
+are unpacked **once** at the end.
 
 Three kinds of operation cover a whole López-Dahab ladder step:
 
@@ -39,8 +39,7 @@ curve constructions never re-lower a linear map.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.bitpack import pack_rows, unpack_planes
 from ..pipeline.store import LRUCache
@@ -58,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .bitslice import BitslicedNetlist
 
 __all__ = [
-    "PlaneVector",
     "PlaneProgram",
     "PlaneIRExecutor",
     "CompiledPlaneIR",
@@ -119,36 +117,6 @@ class _LaneBufferCache:
             entry = self._factory(lane_words)
             buffers[lane_words] = entry
         return entry
-
-
-@dataclass(frozen=True)
-class PlaneVector:
-    """A batch of GF(2^m) elements resident in uint64 bit planes.
-
-    ``array`` has shape ``(m, lane_words)``: bit ``p`` of row ``i`` is
-    coordinate ``a_i`` of batch element ``p``.  ``lanes`` is the live batch
-    size; lane bits at positions ``lanes`` and above are dead (kept zero by
-    :meth:`PlaneIRExecutor.pack`, ignored by :meth:`PlaneIRExecutor.unpack`).
-    The wrapper is immutable — operations return fresh vectors, so a
-    :class:`PlaneVector` can be reused freely across ladder steps.
-    """
-
-    array: "object"  # numpy (m, lane_words) uint64; untyped to keep numpy optional
-    lanes: int
-
-    @property
-    def m(self) -> int:
-        """Coordinate count (rows of the plane array)."""
-        return self.array.shape[0]
-
-    @property
-    def lane_words(self) -> int:
-        """uint64 words per plane (columns of the array)."""
-        return self.array.shape[1]
-
-    def copy(self) -> "PlaneVector":
-        """An independent copy (same values, fresh storage)."""
-        return PlaneVector(self.array.copy(), self.lanes)
 
 
 class PlaneProgram:
@@ -315,8 +283,8 @@ class CompiledPlaneIR:
     * a ``SelectPass`` applies each broadcast lane mask with three
       bitwise ops per swapped register, the inverted mask computed once.
 
-    ``run_arrays`` is the hot-loop entry point (plain arrays in schedule
-    order, no dicts); :meth:`run` is the friendly name-keyed wrapper.
+    ``run_arrays`` is the only entry point: plain arrays in declared
+    input order, driven by :func:`~repro.backends.ir.run_chunked`.
     """
 
     def __init__(self, executor: "PlaneIRExecutor", program: FieldProgram) -> None:
@@ -325,9 +293,7 @@ class CompiledPlaneIR:
         self.program = program
         self.m = program.m
         ir = program.ir
-        self.input_names = [name for name, _ in ir.inputs]
         self.mask_names = [name for name, _ in ir.mask_inputs]
-        self.output_names = [name for name, _ in ir.outputs]
         self._input_vids = [vid for _, vid in ir.inputs]
         self._output_vids = [vid for _, vid in ir.outputs]
         lowered: List[tuple] = []
@@ -406,49 +372,6 @@ class CompiledPlaneIR:
                         )
         return [regs[vid] for vid in self._output_vids]
 
-    def run(
-        self,
-        inputs: Mapping[str, PlaneVector],
-        masks: Optional[Mapping[str, Sequence[int]]] = None,
-    ) -> Dict[str, PlaneVector]:
-        """Name-keyed execution over :class:`PlaneVector` s.
-
-        Mask streams may be plain 0/1 bit sequences (broadcast here) or
-        prebuilt lane-word mask arrays.  All inputs must share one batch
-        layout.
-        """
-        vectors = []
-        for name in self.input_names:
-            if name not in inputs:
-                raise KeyError(f"program {self.program.ir.name!r} needs input {name!r}")
-            vectors.append(inputs[name])
-        first = vectors[0]
-        for vector in vectors[1:]:
-            if vector.array.shape != first.array.shape or vector.lanes != first.lanes:
-                raise ValueError(
-                    f"inputs of one batch expected: {vector.lanes} lanes "
-                    f"{vector.array.shape} vs {first.lanes} lanes {first.array.shape}"
-                )
-        mask_arrays = []
-        for name in self.mask_names:
-            if masks is None or name not in masks:
-                raise KeyError(f"program {self.program.ir.name!r} needs mask {name!r}")
-            stream = masks[name]
-            if isinstance(stream, (list, tuple)):
-                stream = self.executor.broadcast_bits(stream)
-            if stream.shape != (first.lane_words,):
-                raise ValueError(
-                    f"mask {name!r} shape {stream.shape} does not cover "
-                    f"{first.lane_words} lane words; build it with broadcast_bits "
-                    "over the same batch"
-                )
-            mask_arrays.append(stream)
-        outputs = self.run_arrays([vector.array for vector in vectors], mask_arrays)
-        return {
-            name: PlaneVector(array, first.lanes)
-            for name, array in zip(self.output_names, outputs)
-        }
-
     def describe(self) -> str:
         """Structural summary of the scheduled program plus the substrate."""
         return f"{self.program.describe()} on {self.executor.sliced.describe()}"
@@ -458,9 +381,10 @@ class PlaneIRExecutor:
     """The plane-resident *IR executor* capability of a bitsliced backend.
 
     A consumer expresses its whole formula as a :class:`~repro.backends.ir.FieldIR`, schedules it once
-    (:func:`~repro.backends.ir.schedule_program`), hands the result to
-    :meth:`compile`, and executes the returned :class:`CompiledPlaneIR`
-    per step.  Only the batch boundary stays explicit: :meth:`pack` /
+    (:func:`~repro.backends.ir.schedule_program`), and hands it to the
+    shared driver (:func:`~repro.backends.ir.run_chunked`), which calls
+    :meth:`compile` and runs the returned :class:`CompiledPlaneIR` per
+    step.  Only the batch boundary stays explicit: :meth:`pack` /
     :meth:`unpack` for values, :meth:`broadcast_bits` for per-lane control
     masks.
 
@@ -483,26 +407,19 @@ class PlaneIRExecutor:
         return self.sliced.chunk_size
 
     # ------------------------------------------------------------- boundary
-    def pack(self, values: Sequence[int]) -> PlaneVector:
-        """Pack validated field elements into a :class:`PlaneVector` (once)."""
-        lanes = len(values)
+    def pack(self, values: Sequence[int]):
+        """Pack field elements into an ``(m, lane_words)`` plane array (once).
+
+        Bit ``p`` of row ``i`` is coordinate ``a_i`` of element ``p``; lane
+        bits at positions ``len(values)`` and above stay zero.
+        """
         mask = (1 << self.m) - 1
         planes = pack_rows([value & mask for value in values], self.m)
-        return PlaneVector(_planes_to_array(planes, lane_words_for(lanes)), lanes)
+        return _planes_to_array(planes, lane_words_for(len(values)))
 
-    def unpack(self, vector: PlaneVector) -> List[int]:
-        """Unpack a :class:`PlaneVector` back into field elements (once)."""
-        return unpack_planes(_array_to_planes(vector.array), self.m, vector.lanes)
-
-    def vector(self, array, lanes: int) -> PlaneVector:
-        """Rewrap a raw ``run_arrays`` output as a batch of ``lanes`` lanes.
-
-        Ladder consumers thread raw arrays through repeated
-        :meth:`CompiledPlaneIR.run_arrays` steps and only rewrap at the
-        end; this hook keeps them executor-agnostic (the native executor
-        provides the same method over its word buffers).
-        """
-        return PlaneVector(array, lanes)
+    def unpack(self, array, lanes: int) -> List[int]:
+        """The first ``lanes`` field elements of a plane array (once)."""
+        return unpack_planes(_array_to_planes(array), self.m, lanes)
 
     def broadcast_bits(self, bits: Sequence[int]):
         """Pack one control bit per lane into a broadcastable lane-word mask.

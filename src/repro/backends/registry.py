@@ -210,13 +210,14 @@ def _assert_ir_parity(field, resolved, a_values, b_values, rng) -> int:
     """Cross-check FieldIR execution on this backend against the reference.
 
     A small mixed formula (mul, chained squarings, xor, select) runs through
-    :func:`repro.backends.ir.execute_program` and through the backend's
+    :func:`repro.backends.ir.execute_program` and, through
+    :func:`~repro.backends.ir.run_program`, the backend's
     :meth:`~repro.backends.base.FieldBackend.ir_executor` (compiled on
     bitslice/native, interpreting on python/engine) — both must match the
     scalar reference byte for byte.  This is the harness arm that keeps
     the formula compiler honest on every registered substrate.
     """
-    from .ir import IRBuilder, execute_program, schedule_program
+    from .ir import IRBuilder, execute_program, run_program, schedule_program
 
     m = field.m
     builder = IRBuilder("parity_probe")
@@ -248,12 +249,9 @@ def _assert_ir_parity(field, resolved, a_values, b_values, rng) -> int:
             f"{resolved.name} backend FieldIR interpreter mismatch on GF(2^{m}) "
             f"vector {index}: got 0x{interpreted[index]:x}, reference 0x{expected[index]:x}"
         )
-    executor = resolved.ir_executor()
-    compiled = executor.compile(program)
-    outputs = compiled.run(
-        {"a": executor.pack(a_values), "b": executor.pack(b_values)}, {"bit": bits}
-    )
-    executed = executor.unpack(outputs["r"])
+    executed = run_program(
+        resolved.ir_executor(), program, {"a": a_values, "b": b_values}, {"bit": bits}
+    )["r"]
     if executed != expected:
         index = next(i for i, (got, want) in enumerate(zip(executed, expected)) if got != want)
         raise AssertionError(

@@ -534,6 +534,7 @@ def _run_bench_describe(args) -> int:
     """
     from .backends.ir import schedule_program
     from .curves.formulas import ladder_step_ir, ladder_step_program
+    from .curves.point import ladder_registers
 
     modulus = type_ii_pentanomial(args.m, args.n)
     field = GF2mField(modulus, check_irreducible=False)
@@ -562,14 +563,17 @@ def _run_bench_profile(args) -> int:
     """``repro bench --profile``: per-fused-pass timings of the ladder step.
 
     Compiles the López-Dahab ladder-step formula for the bench field on
-    the resolved backend, runs ``m`` steps over a packed random batch
-    under a temporary tracer, and prints where each step's time goes —
-    the per-pass breakdown behind the one ``ladder.step`` number.  The
+    the resolved backend, runs the batch ladder's register loop
+    (:func:`~repro.curves.point.ladder_registers`) for ``m`` steps over a
+    random batch under a temporary tracer, and prints where each step's
+    time goes — the per-pass breakdown behind the one ``ladder.step``
+    number (the pack and unpack fall under "outside passes").  The
     interpreting executor of python/engine emits no per-pass spans, so
     there only the step total is printed.
     """
     from .backends.ir import schedule_program
     from .curves.formulas import ladder_step_ir, ladder_step_program
+    from .curves.point import ladder_registers
 
     modulus = type_ii_pentanomial(args.m, args.n)
     field = GF2mField(modulus, check_irreducible=False)
@@ -588,25 +592,16 @@ def _run_bench_profile(args) -> int:
             {"square": field.square_map, "mul_b": field.constant_multiplier(1)},
         )
         formula = f"López-Dahab ladder step over GF(2^{args.m}) (no catalog curve; b=1)"
-    compiled = executor.compile(program)
     lanes = min(256, executor.chunk_size, max(1, args.pairs))
     steps = field.m if not args.quick else min(field.m, 24)
     rng = random.Random(2018)
-    base = executor.pack([rng.getrandbits(args.m) or 1 for _ in range(lanes)]).array
-    state = (
-        executor.pack([1] * lanes).array,
-        executor.pack([0] * lanes).array,
-        base.copy(),
-        executor.pack([1] * lanes).array,
-    )
-    bits = [[rng.getrandbits(1) for _ in range(lanes)] for _ in range(steps)]
-    compiled.run_arrays((*state, base), (executor.broadcast_bits(bits[0]),))  # warm
+    base_x = [rng.getrandbits(args.m) or 1 for _ in range(lanes)]
+    scalars = [rng.getrandbits(steps) for _ in range(lanes)]
+    ladder_registers(executor, program, base_x, scalars, 1)  # warm
     previous = telemetry_trace.set_tracer(telemetry_trace.Tracer())
     try:
         with telemetry_metrics.timed("cli.bench.profile") as timer:
-            for step in range(steps):
-                mask = executor.broadcast_bits(bits[step])
-                state = tuple(compiled.run_arrays((*state, base), (mask,)))
+            ladder_registers(executor, program, base_x, scalars, steps)
         summary = telemetry_trace.aggregate_spans(
             telemetry_trace.TRACER.events(), prefix="ir.pass."
         )

@@ -1,20 +1,24 @@
 """The curve formulas, each traced exactly once as a :class:`FieldIR`.
 
-Before the formula compiler, every consumer of the López-Dahab step carried
-its own copy of the formula: the scalar ladder in
-:meth:`~repro.curves.point.BinaryCurve._ladder_ld`, a hand-written
-gather/batch version in ``_ladder_ld_batch``, and a hand-scheduled plane
-version in ``_ladder_ld_planes`` — three schedules to keep in sync.  This
-module replaces the latter two: the **step**, the **y-recovery** and the
-**curve-equation residual** are traced once as straight-line
-:class:`~repro.backends.ir.FieldIR` and scheduled once per curve through
-the level-scheduling fusion pass (:func:`~repro.backends.ir
-.schedule_program`).  Every backend runs the scheduled program through
-its executor (:meth:`~repro.backends.base.FieldBackend.ir_executor`):
-fused uint64 plane passes on bitslice, one C instruction stream on
-native, and :func:`~repro.backends.ir.execute_program` on python and
-engine, which derives the per-step ``multiply_batch`` gathers from the
-schedule instead of hand-written loops.  The scalar ladder stays as the
+Every batched curve evaluator runs straight-line formulas traced here
+once as :class:`~repro.backends.ir.FieldIR` and scheduled once per curve
+through the level-scheduling fusion pass (:func:`~repro.backends.ir
+.schedule_program`):
+
+* the step formulas — the binary López-Dahab ladder step, the τ-adic
+  Frobenius (+ masked add) steps and the comb double-add column;
+* the one-shot formulas — the binary ladder's y-recovery (ending in LD
+  projective coordinates), the τ evaluator's small-multiple chain, the
+  shared projective → affine finish and the curve-equation residual.
+
+Every backend runs them through its executor
+(:meth:`~repro.backends.base.FieldBackend.ir_executor`) under the one
+driver :func:`~repro.backends.ir.run_chunked`: fused uint64 plane passes
+on bitslice, one C instruction stream on native, and the interpreting
+executor over the backend's batch ops on python and engine.  All
+three evaluators end in the same affine finish: LD ``(X : Y : Z)``, one
+shared Montgomery batch inversion of ``Z``, then
+:func:`projective_to_affine_program`.  The scalar ladder stays as the
 untouched independent reference the tests compare every executor against.
 
 Scheduled programs are memoized process-wide
@@ -45,17 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ladder_step_ir",
     "ladder_step_program",
-    "recover_denominator_program",
-    "recover_affine_program",
+    "ladder_recover_program",
     "on_curve_residual_program",
     "frobenius_ir",
     "frobenius_program",
     "frobenius_add_ir",
     "frobenius_add_program",
-    "ld_double_ir",
-    "ld_double_program",
-    "mixed_add_ir",
-    "mixed_add_program",
     "small_multiples_ir",
     "small_multiples_program",
     "double_add_ir",
@@ -118,60 +117,48 @@ def ladder_step_program(curve: "BinaryCurve") -> FieldProgram:
     )
 
 
-def recover_denominator_program(curve: "BinaryCurve") -> FieldProgram:
-    """Stage one of batched y-recovery: the shared inversion's denominator.
+def ladder_recover_program(curve: "BinaryCurve") -> FieldProgram:
+    """The binary ladder's y-recovery, ending in LD projective ``(X : Y : Z)``.
 
-    ``z1z2 = z1·z2`` and ``denom = x·z1·z2`` for every live lane; the
-    caller feeds ``denom`` through the backend's Montgomery batch inverse
-    (inversion is not a straight-line field op, so it stays outside the
-    IR) and hands ``inv`` to :func:`recover_affine_program`.
+    From the final registers ``R0 = (x1 : z1)``, ``R1 = (x2 : z2)`` and the
+    affine base point ``P = (x, y)`` (López & Dahab 1999):
+
+    * ``Z = x·z1·z2`` and ``X = x·x1·z2``, so ``X / Z = x1 / z1``;
+    * ``Y = (x·Z ⊕ X)·N ⊕ y·Z²`` with
+      ``N = (x1 ⊕ x·z1)(x2 ⊕ x·z2) ⊕ (x² ⊕ y)·z1·z2``.
+
+    The shared :func:`projective_to_affine_program` finish then yields the
+    same affine point as the scalar :meth:`~repro.curves.point.BinaryCurve
+    ._ladder_recover`, with no inversion inside the formula.  ``Z = 0``
+    exactly when ``z1 = 0`` or ``z2 = 0`` (``k ≡ 0`` or ``−1`` modulo the
+    point's order), the lanes the batch evaluator hands to the scalar
+    ladder.
     """
     field = curve.field
-    key = ("ld-recover-denom", field.modulus)
+    key = ("ld-recover", field.modulus)
 
     def build() -> FieldProgram:
-        builder = IRBuilder("ld_recover_denominator")
-        base = builder.input("x")
-        z1, z2 = builder.input("z1"), builder.input("z2")
-        z1z2 = builder.mul(z1, z2)
-        builder.output("z1z2", z1z2)
-        builder.output("denom", builder.mul(base, z1z2))
-        return schedule_program(builder.build(), field.m, {}, key=key)
-
-    return cached_program(key, build)
-
-
-def recover_affine_program(curve: "BinaryCurve") -> FieldProgram:
-    """Stage two of batched y-recovery: affine ``(x3, y3)`` from the inverse.
-
-    Same algebra as the scalar :meth:`~repro.curves.point.BinaryCurve
-    ._ladder_recover`, rearranged by the scheduler into four product
-    levels (``mul×4 → mul×3 → mul → mul``) with the XOR work fused
-    between them.  ``y3`` already includes the final ``⊕ y``.
-    """
-    field = curve.field
-    key = ("ld-recover-affine", field.modulus)
-
-    def build() -> FieldProgram:
-        builder = IRBuilder("ld_recover_affine")
+        builder = IRBuilder("ld_recover")
         base, base_y = builder.input("x"), builder.input("y")
-        x1, x2 = builder.input("x1"), builder.input("x2")
-        z1, z2 = builder.input("z1"), builder.input("z2")
-        z1z2, inv = builder.input("z1z2"), builder.input("inv")
+        x1, z1 = builder.input("x1"), builder.input("z1")
+        x2, z2 = builder.input("x2"), builder.input("z2")
+        z1z2 = builder.mul(z1, z2)
         x1z2 = builder.mul(x1, z2)
-        xz1 = builder.mul(base, z1)
-        xz2 = builder.mul(base, z2)
-        xinv = builder.mul(base, inv)
-        left_in = builder.xor(x1, xz1)
-        right_in = builder.xor(x2, xz2)
-        trace_in = builder.xor(builder.square(base), base_y)
-        x3 = builder.mul(x1z2, xinv)
-        left = builder.mul(left_in, right_in)
-        right = builder.mul(trace_in, z1z2)
-        numerator = builder.mul(builder.xor(base, x3), builder.xor(left, right))
-        y3 = builder.xor(builder.mul(numerator, inv), base_y)
-        builder.output("x3", x3)
-        builder.output("y3", y3)
+        left = builder.mul(
+            builder.xor(x1, builder.mul(base, z1)), builder.xor(x2, builder.mul(base, z2))
+        )
+        right = builder.mul(builder.xor(builder.square(base), base_y), z1z2)
+        z_out = builder.mul(base, z1z2)
+        x_out = builder.mul(base, x1z2)
+        # x·Z = x²·z1·z2 keeps the product one level shallower.
+        x_z = builder.mul(builder.square(base), z1z2)
+        y_out = builder.xor(
+            builder.mul(builder.xor(x_z, x_out), builder.xor(left, right)),
+            builder.mul(base_y, builder.square(z_out)),
+        )
+        builder.output("X", x_out)
+        builder.output("Y", y_out)
+        builder.output("Z", z_out)
         return schedule_program(builder.build(), field.m, {"square": field.square_map}, key=key)
 
     return cached_program(key, build)
@@ -305,67 +292,6 @@ def frobenius_add_program(curve: "BinaryCurve", squarings: int = 1) -> FieldProg
         key,
         lambda: schedule_program(
             frobenius_add_ir(squarings),
-            field.m,
-            {"square": field.square_map, "mul_a": field.constant_multiplier(curve.a)},
-            key=key,
-        ),
-    )
-
-
-def ld_double_ir() -> FieldIR:
-    """Plain LD projective doubling ``2·(X:Y:Z)`` (HMV Alg. 3.25)."""
-    builder = IRBuilder("ld_double")
-    x_p, y_p, z_p = (builder.input(name) for name in ("X", "Y", "Z"))
-    doubled = _ld_double(builder, x_p, y_p, z_p)
-    for name, var in zip(("Xn", "Yn", "Zn"), doubled):
-        builder.output(name, var)
-    return builder.build()
-
-
-def ld_double_program(curve: "BinaryCurve") -> FieldProgram:
-    """The scheduled projective doubling (memoized per modulus, a and b)."""
-    field = curve.field
-    key = ("ld-double", field.modulus, curve.a, curve.b)
-    return cached_program(
-        key,
-        lambda: schedule_program(
-            ld_double_ir(),
-            field.m,
-            {
-                "square": field.square_map,
-                "mul_a": field.constant_multiplier(curve.a),
-                "mul_b": curve._mul_b,
-            },
-            key=key,
-        ),
-    )
-
-
-def mixed_add_ir() -> FieldIR:
-    """Plain LD mixed addition ``(X:Y:Z) + (x2, y2)`` — no masks.
-
-    The batched evaluators' small-multiple tables are built with this:
-    the running multiple stays projective through the whole add chain and
-    every entry is normalized by one shared batch inversion at the end.
-    Degenerate adds yield the sticky ``Z = 0`` flag as usual.
-    """
-    builder = IRBuilder("ld_mixed_add")
-    x_p, y_p, z_p = (builder.input(name) for name in ("X", "Y", "Z"))
-    x2, y2 = builder.input("x2"), builder.input("y2")
-    added = _ld_mixed_add(builder, x_p, y_p, z_p, x2, y2)
-    for name, var in zip(("Xn", "Yn", "Zn"), added):
-        builder.output(name, var)
-    return builder.build()
-
-
-def mixed_add_program(curve: "BinaryCurve") -> FieldProgram:
-    """The scheduled plain mixed add (memoized per modulus and a)."""
-    field = curve.field
-    key = ("ld-mixed-add", field.modulus, curve.a)
-    return cached_program(
-        key,
-        lambda: schedule_program(
-            mixed_add_ir(),
             field.m,
             {"square": field.square_map, "mul_a": field.constant_multiplier(curve.a)},
             key=key,

@@ -14,17 +14,20 @@ multiplication paths:
   with a single inversion for the final ``y``-recovery);
 * :meth:`BinaryCurve.multiply_batch` — the same ladder over many
   independent ``(point, scalar)`` pairs at once, driven by the **formula
-  compiler**: the whole López-Dahab step (and the y-recovery and on-curve
-  check) is traced once as a :class:`~repro.backends.ir.FieldIR`
+  compiler**: the López-Dahab step, the y-recovery and the on-curve check
+  are traced once as :class:`~repro.backends.ir.FieldIR`
   (:mod:`repro.curves.formulas`) and scheduled once per curve into fused
   passes.  The batch resolves one execution backend (:mod:`repro.backends`)
-  up front and runs the compiled step through its FieldIR executor
-  (:meth:`~repro.backends.base.FieldBackend.ir_executor`): base-point
-  coordinates are packed **once**, every step is one ``run_arrays`` call
-  (fused uint64 plane passes on bitslice, one C call on native, the
-  :func:`~repro.backends.ir.execute_program` interpreter on python and
-  engine), and coordinates are unpacked **once** before the shared
-  Montgomery-trick inversions.
+  up front and runs the step through its FieldIR executor under the shared
+  driver (:func:`ladder_registers` over
+  :func:`~repro.backends.ir.run_chunked`): coordinates are packed **once**
+  per chunk, every step is one executor call (fused uint64 plane passes on
+  bitslice, one C call on native, the interpreting executor on python and
+  engine) over a scalar-independent number of steps, and the registers are
+  unpacked **once**.  The y-recovery formula ends in LD projective
+  ``(X : Y : Z)``, so the binary, τ-adic and comb evaluators share one
+  affine finish: a Montgomery batch inversion of ``Z`` and the compiled
+  projective → affine formula.
 
 All paths return canonical affine points, so their results are comparable
 byte for byte; the batch path is asserted identical to the scalar ladder in
@@ -36,19 +39,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from ..backends.ir import execute_program
-from ..telemetry import trace as _trace
-from .formulas import (
-    ladder_step_program,
-    on_curve_residual_program,
-    recover_affine_program,
-    recover_denominator_program,
-)
+from ..backends.ir import run_chunked, run_program
+from .formulas import ladder_recover_program, ladder_step_program, on_curve_residual_program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..galois.field import GF2mField
 
-__all__ = ["BinaryCurve", "Point"]
+__all__ = ["BinaryCurve", "Point", "ladder_registers"]
+
+
+def ladder_registers(executor, program, base_x, scalars, steps) -> List[List[int]]:
+    """The binary batch ladder's register loop: ``steps`` Montgomery steps.
+
+    Runs the scheduled López-Dahab step ``program`` through the shared
+    driver (:func:`~repro.backends.ir.run_chunked`) on ``executor``, from
+    ``R0 = infinity = (1 : 0)``, ``R1 = P = (x : 1)`` with the base ``x``
+    as a per-chunk constant; step ``i`` (counting down from ``steps − 1``)
+    selects on bit ``i`` of each lane's scalar.  Returns the final
+    ``x1 z1 x2 z2`` columns.  The batch evaluator, ``repro bench
+    --profile`` and the ladder benchmarks all time this one loop.
+    """
+    count = len(base_x)
+
+    def schedule(start, stop):
+        chunk = scalars[start:stop]
+        for bit_index in range(steps - 1, -1, -1):
+            yield program, (), ([(scalar >> bit_index) & 1 for scalar in chunk],)
+
+    return run_chunked(
+        executor,
+        [[1] * count, [0] * count, base_x, [1] * count],
+        schedule,
+        constants=[base_x],
+        span="ladder",
+    )
 
 
 @dataclass(frozen=True)
@@ -361,13 +385,13 @@ class BinaryCurve:
         (:meth:`GF2mField.resolve_backend`) and runs the compiled
         ladder-step formula (:func:`repro.curves.formulas
         .ladder_step_program`) through the backend's FieldIR executor:
-        one pack, one ``run_arrays`` per scalar bit, one unpack.  Bitslice
-        runs the step as fused uint64 plane passes, native as one C call,
-        and python/engine interpret the same program per step.  Scalars of
-        different bit lengths are handled by starting every item at the
-        widest scalar's bit: the ladder state ``R0 = infinity, R1 = P`` is
-        a fixed point of the leading-zero steps (the scalar-bit swaps are
-        masked lane selects, so mixed-length scalars share one batch).
+        one pack, one executor call per step, one unpack.  Bitslice runs
+        the step as fused uint64 plane passes, native as one C call, and
+        python/engine interpret the same program per step.  Every lane
+        runs the same number of steps, set by the curve order (or ``2^m``)
+        rather than the scalars: the ladder state ``R0 = infinity, R1 = P``
+        is a fixed point of the leading-zero steps (the scalar-bit swaps
+        are masked lane selects, so mixed-length scalars share one batch).
 
         ``backend`` names the substrate (``"engine"``, ``"bitslice"``,
         ``"python"``, ``"native"`` or an instance); ``method`` selects the
@@ -477,8 +501,6 @@ class BinaryCurve:
         is not a field computation), and failures raise the same
         ``ValueError`` a scalar ladder's base check raises.
         """
-        from . import scalarmul
-
         # Fixed-base batches repeat one point across every lane; dedup so
         # the residual formula prices distinct coordinates, not lanes.
         finite = set()
@@ -490,8 +512,8 @@ class BinaryCurve:
         if not finite:
             return
         coordinates = sorted(finite)
-        residuals = scalarmul._run_program_chunked(
-            backend,
+        residuals = run_program(
+            backend.ir_executor(),
             on_curve_residual_program(self),
             {"x": [x for x, _ in coordinates], "y": [y for _, y in coordinates]},
         )["residual"]
@@ -508,13 +530,11 @@ class BinaryCurve:
         single lane-stacked product gather plus fused linear work, zero on
         every valid lane.
         """
-        from . import scalarmul
-
         finite = [(index, point) for index, point in enumerate(points) if not point.is_infinity]
         if not finite:
             return
-        residuals = scalarmul._run_program_chunked(
-            backend,
+        residuals = run_program(
+            backend.ir_executor(),
             on_curve_residual_program(self),
             {"x": [point.x for _, point in finite], "y": [point.y for _, point in finite]},
         )["residual"]
@@ -532,118 +552,36 @@ class BinaryCurve:
         *,
         backend,
     ) -> List[Point]:
-        # The backend is resolved by multiply_batch; ladder intermediates are
-        # always valid field elements, so its executor runs them directly
-        # (no per-step revalidation).  Chunk at the executor's lane width so
-        # compiled buffers stay bounded for very large batches (each chunk
-        # still packs once, runs all its steps, and unpacks once).
+        """The binary batch ladder: register loop, y-recovery, affine finish.
+
+        Every lane runs the same number of steps — enough for any scalar
+        below the curve order (or ``2^m`` when the order is unknown), more
+        only when a caller passes a wider scalar — so the step count does
+        not depend on the secret scalars.  Leading zero steps leave the
+        state ``R0 = infinity, R1 = P`` fixed, so results do not change.
+        The recovered LD coordinates go through the shared affine finish;
+        lanes with ``Z = 0`` (``k ≡ 0`` or ``−1`` modulo the point's order)
+        take the scalar ladder.
+        """
+        from . import scalarmul
+
+        bound = self.order if self.order is not None else self.field.order
+        steps = max((bound - 1).bit_length(), max(scalar.bit_length() for scalar in scalars))
         executor = backend.ir_executor()
-        chunk = executor.chunk_size
-        compiled = executor.compile(ladder_step_program(self))
-        x1: List[int] = []
-        z1: List[int] = []
-        x2: List[int] = []
-        z2: List[int] = []
-        for start in range(0, len(base_x), chunk):
-            part = self._ladder_ld_compiled(
-                executor, compiled, base_x[start:start + chunk], scalars[start:start + chunk]
-            )
-            x1 += part[0]
-            z1 += part[1]
-            x2 += part[2]
-            z2 += part[3]
-        return self._ladder_recover_batch(base_x, base_y, x1, z1, x2, z2, backend=backend)
-
-    def _ladder_ld_compiled(self, executor, compiled, base_x: List[int], scalars: List[int]):
-        """All ladder steps resident in the executor's packed representation.
-
-        Pack once, run the fused six-pass step once per scalar bit
-        (``run_arrays`` on the executor's raw register arrays — plane
-        arrays on bitslice, word buffers on native, int lists on the
-        interpreting executor; the only per-step Python is the scalar-bit
-        mask build), unpack once.  Byte-identical to the scalar ladder by
-        construction: same formula, same circuits, same linear maps —
-        GF(2^m) arithmetic is exact, so any correct schedule produces
-        identical bytes.
-        """
-        count = len(base_x)
-        steps = max(scalar.bit_length() for scalar in scalars)
-        broadcast = executor.broadcast_bits
-        tracer = _trace.TRACER
-        with tracer.span("ladder.pack", lanes=count):
-            base = executor.pack(base_x).array
-            x1 = executor.pack([1] * count).array
-            z1 = executor.pack([0] * count).array
-            x2 = base.copy()
-            z2 = x1.copy()
-        for bit_index in range(steps - 1, -1, -1):
-            with tracer.span("ladder.step"):
-                mask = broadcast([(scalar >> bit_index) & 1 for scalar in scalars])
-                x1, z1, x2, z2 = compiled.run_arrays((x1, z1, x2, z2, base), (mask,))
-        unpack = executor.unpack
-        with tracer.span("ladder.unpack", lanes=count):
-            return tuple(
-                unpack(executor.vector(array, count)) for array in (x1, z1, x2, z2)
-            )
-
-    def _ladder_recover_batch(
-        self,
-        base_x: List[int],
-        base_y: List[int],
-        x1: List[int],
-        z1: List[int],
-        x2: List[int],
-        z2: List[int],
-        *,
-        backend,
-    ) -> List[Point]:
-        """Batched y-recovery: the inversions share one Montgomery pass.
-
-        Runs as two compiled formulas (:func:`~repro.curves.formulas
-        .recover_denominator_program` / ``recover_affine_program``) around
-        the backend's Montgomery batch inverse — inversion is not a
-        straight-line field op, so it stays between the two IR programs.
-        """
-        count = len(base_x)
-        special = {
-            i: (
-                self.infinity()
-                if z1[i] == 0
-                else Point(self, base_x[i], base_x[i] ^ base_y[i])
-            )
-            for i in range(count)
-            if z1[i] == 0 or z2[i] == 0
-        }
-        live = [i for i in range(count) if i not in special]
-        points: List[Optional[Point]] = [special.get(i) for i in range(count)]
-        if live:
-            xs = [base_x[i] for i in live]
-            z1s = [z1[i] for i in live]
-            z2s = [z2[i] for i in live]
-            staged = execute_program(
-                recover_denominator_program(self),
-                backend,
-                {"x": xs, "z1": z1s, "z2": z2s},
-            )
-            with _trace.span("ladder.inverse_batch", count=len(live)):
-                inv = backend.inverse_batch(staged["denom"])
-            affine = execute_program(
-                recover_affine_program(self),
-                backend,
-                {
-                    "x": xs,
-                    "y": [base_y[i] for i in live],
-                    "x1": [x1[i] for i in live],
-                    "x2": [x2[i] for i in live],
-                    "z1": z1s,
-                    "z2": z2s,
-                    "z1z2": staged["z1z2"],
-                    "inv": inv,
-                },
-            )
-            for k, i in enumerate(live):
-                points[i] = Point(self, affine["x3"][k], affine["y3"][k])
-        return points  # type: ignore[return-value]
+        x1, z1, x2, z2 = ladder_registers(
+            executor, ladder_step_program(self), base_x, scalars, steps
+        )
+        recovered = run_program(
+            executor,
+            ladder_recover_program(self),
+            {"x": base_x, "y": base_y, "x1": x1, "z1": z1, "x2": x2, "z2": z2},
+        )
+        return scalarmul._finalize_projective(
+            self, backend, recovered["X"], recovered["Y"], recovered["Z"],
+            lambda index: self.multiply(Point(self, base_x[index], base_y[index]), scalars[index]),
+            prefix="ladder",
+            inverse_span="ladder.inverse_batch",
+        )
 
     # ------------------------------------------------------------- point tools
     def solve_y(self, x: int) -> Optional[int]:

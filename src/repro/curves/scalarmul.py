@@ -26,6 +26,12 @@ every backend (python/engine/bitslice/native):
   :func:`~repro.curves.formulas.double_add_program` — one LD doubling
   plus a lane-masked add per comb column instead of a full ladder.
 
+Both evaluators (and the binary ladder in :mod:`repro.curves.point`) are
+schedules fed to the one batch driver :func:`~repro.backends.ir
+.run_chunked` — a generator yields each step's program, gathered table
+columns and lane masks — and all three end in :func:`_finalize_projective`,
+the shared affine finish.
+
 Scalar reduction and recoding
 -----------------------------
 Rational points satisfy ``τ^m = 1`` (the Frobenius of GF(2^m) fixes every
@@ -53,9 +59,10 @@ Degenerate lanes
 ----------------
 The mixed-add formula yields ``Z = 0`` when an add degenerates (the
 accumulator meets ``±table point``), and a zero ``Z`` is sticky through
-both step formulas — so a single post-ladder check finds every lane that
-needs the scalar-ladder fallback.  Random scalars hit this with
-probability ~2^(−m); the exhaustive toy-curve tests hit it on purpose.
+both step formulas — so a single post-ladder check in
+:func:`_finalize_projective` finds every lane that needs the scalar-ladder
+fallback.  Random scalars hit this with probability ~2^(−m); the
+exhaustive toy-curve tests hit it on purpose.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from ..backends.ir import run_chunked, run_program
 from ..pipeline.store import ArtifactStore, LRUCache, canonical_fingerprint
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
@@ -403,30 +411,6 @@ def tau_digits_value(curve: "BinaryCurve", digits: "Sequence[int]") -> "Tuple[in
 
 
 # ----------------------------------------------------------- shared plumbing
-def _run_program_chunked(backend, program, inputs: "Dict[str, List[int]]"):
-    """Run a mask-less FieldProgram on int lists through the backend's executor.
-
-    Chunked at the executor's lane width: pack → run → unpack per chunk.
-    """
-    executor = backend.ir_executor()
-    columns = [inputs[name] for name, _ in program.ir.inputs]
-    out_names = [name for name, _ in program.ir.outputs]
-    count = len(columns[0])
-    chunk = executor.chunk_size
-    compiled = executor.compile(program)
-    outputs: "Dict[str, List[int]]" = {name: [] for name in out_names}
-    unpack = executor.unpack
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        lanes = stop - start
-        arrays = compiled.run_arrays(
-            tuple(executor.pack(column[start:stop]).array for column in columns), ()
-        )
-        for name, array in zip(out_names, arrays):
-            outputs[name] += unpack(executor.vector(array, lanes))
-    return outputs
-
-
 def _small_multiples_batch(curve, backend, base_x, base_y, top):
     """Per-lane multiples ``u·P`` for ``u = 1..top``, built projectively.
 
@@ -442,9 +426,8 @@ def _small_multiples_batch(curve, backend, base_x, base_y, top):
     tables: "Dict[int, Tuple[List[int], List[int]]]" = {1: (list(base_x), list(base_y))}
     if top < 2:
         return tables, set()
-    program = small_multiples_program(curve, top)
-    chain = _run_program_chunked(
-        backend, program, {"x2": base_x, "y2": base_y}
+    chain = run_program(
+        backend.ir_executor(), small_multiples_program(curve, top), {"x2": base_x, "y2": base_y}
     )
     degenerate = {
         lane
@@ -468,8 +451,8 @@ def _small_multiples_batch(curve, backend, base_x, base_y, top):
     if slots:
         with _trace.span("scalarmul.table_inverse", count=len(slots)):
             inverses = backend.inverse_batch(flat_z)
-        affine = _run_program_chunked(
-            backend,
+        affine = run_program(
+            backend.ir_executor(),
             projective_to_affine_program(curve),
             {"X": flat_x, "Y": flat_y, "zi": inverses},
         )
@@ -479,13 +462,17 @@ def _small_multiples_batch(curve, backend, base_x, base_y, top):
     return tables, degenerate
 
 
-def _finalize_projective(curve, backend, x_acc, y_acc, z_acc):
-    """Affine points from LD accumulators; ``None`` marks fallback lanes.
+def _finalize_projective(
+    curve, backend, x_acc, y_acc, z_acc, fallback, *, prefix, inverse_span
+):
+    """Affine points from LD accumulators: the one finish of every evaluator.
 
-    A zero ``Z`` is the sticky degenerate/never-started flag — those lanes
-    (plus any the caller already marked) are returned as ``None`` for the
-    per-lane scalar-ladder fallback.  Live lanes share one Montgomery
-    batch inversion and one compiled conversion formula.
+    Live lanes share one Montgomery batch inversion of ``Z`` (traced as
+    ``inverse_span``) and one compiled
+    :func:`~repro.curves.formulas.projective_to_affine_program` run.  A
+    zero ``Z`` is the sticky degenerate/never-started flag: those lanes
+    take ``fallback(index)`` — the per-lane scalar ladder — and count as
+    ``<prefix>.fallbacks``.
     """
     from .point import Point
 
@@ -493,10 +480,10 @@ def _finalize_projective(curve, backend, x_acc, y_acc, z_acc):
     live = [index for index in range(count) if z_acc[index] != 0]
     points: "List[Optional[Point]]" = [None] * count
     if live:
-        with _trace.span("scalarmul.inverse_batch", count=len(live)):
+        with _trace.span(inverse_span, count=len(live)):
             inverses = backend.inverse_batch([z_acc[i] for i in live])
-        affine = _run_program_chunked(
-            backend,
+        affine = run_program(
+            backend.ir_executor(),
             projective_to_affine_program(curve),
             {
                 "X": [x_acc[i] for i in live],
@@ -506,80 +493,18 @@ def _finalize_projective(curve, backend, x_acc, y_acc, z_acc):
         )
         for slot, index in enumerate(live):
             points[index] = Point(curve, affine["x3"][slot], affine["y3"][slot])
+    registry = _metrics.REGISTRY
+    for index in range(count):
+        if points[index] is None:
+            points[index] = fallback(index)
+            if registry.enabled:
+                registry.inc(f"{prefix}.fallbacks")
     return points
 
 
-def _run_masked_steps(
-    curve,
-    backend,
-    count,
-    rows_for,
-    *,
-    program_for,
-    span_prefix,
-):
-    """Drive a digit/column schedule through the compiled step formulas.
-
-    ``rows_for(start, stop)`` yields, highest position first, one
-    ``(key, row)`` event per step for the lane slice ``[start, stop)``:
-    ``row`` is either ``None`` for a fallthrough-only event (a whole run
-    of zero digits / a plain doubling, no gathered inputs) or slice-width
-    ``(x2, y2, add_bits, init_bits)`` lists.  ``program_for(key,
-    has_add)`` supplies the :class:`~repro.backends.ir.FieldProgram` of
-    an event class — the τ evaluator keys on the folded squaring count,
-    the comb evaluator has a single class.  Every lane starts from the
-    not-yet-started LD sentinel ``(1, 1, 0)``.  Runs through the
-    backend's FieldIR executor, chunked at its lane width: each chunk
-    packs once, steps per event and unpacks once.  Returns the final
-    accumulator triple as int lists.
-    """
-    executor = backend.ir_executor()
-    tracer = _trace.TRACER
-    compiled: "Dict[Tuple[object, bool], object]" = {}
-
-    def compile_for(key, has_add):
-        entry = compiled.get((key, has_add))
-        if entry is None:
-            entry = compiled[(key, has_add)] = executor.compile(program_for(key, has_add))
-        return entry
-
-    chunk = executor.chunk_size
-    x_out: "List[int]" = []
-    y_out: "List[int]" = []
-    z_out: "List[int]" = []
-    for start in range(0, count, chunk):
-        lanes = min(chunk, count - start)
-        with tracer.span(f"{span_prefix}.pack", lanes=lanes):
-            x_arr = executor.pack([1] * lanes).array
-            y_arr = executor.pack([1] * lanes).array
-            z_arr = executor.pack([0] * lanes).array
-        for key, row in rows_for(start, start + lanes):
-            with tracer.span(f"{span_prefix}.step"):
-                if row is None:
-                    x_arr, y_arr, z_arr = compile_for(key, False).run_arrays(
-                        (x_arr, y_arr, z_arr), ()
-                    )
-                else:
-                    x2, y2, add_bits, init_bits = row
-                    x_arr, y_arr, z_arr = compile_for(key, True).run_arrays(
-                        (
-                            x_arr,
-                            y_arr,
-                            z_arr,
-                            executor.pack(x2).array,
-                            executor.pack(y2).array,
-                        ),
-                        (
-                            executor.broadcast_bits(add_bits),
-                            executor.broadcast_bits(init_bits),
-                        ),
-                    )
-        with tracer.span(f"{span_prefix}.unpack", lanes=lanes):
-            unpack = executor.unpack
-            x_out += unpack(executor.vector(x_arr, lanes))
-            y_out += unpack(executor.vector(y_arr, lanes))
-            z_out += unpack(executor.vector(z_arr, lanes))
-    return x_out, y_out, z_out
+def _masked_start(count):
+    """The LD accumulator columns of the not-yet-started sentinel ``(1, 1, 0)``."""
+    return [[1] * count, [1] * count, [0] * count]
 
 
 # ------------------------------------------------------------- τ-adic ladder
@@ -677,7 +602,7 @@ def multiply_tau_batch(
             squarings = 1 if previous is None else previous - position
             previous = position
             while squarings > MAX_FUSED_SQUARINGS:
-                yield MAX_FUSED_SQUARINGS, None
+                yield frobenius_program(curve, MAX_FUSED_SQUARINGS), (), ()
                 squarings -= MAX_FUSED_SQUARINGS
             x2 = [0] * slots
             y2 = [0] * slots
@@ -696,39 +621,26 @@ def multiply_tau_batch(
                 else:
                     init_bits[slot] = 1
                     started[slot] = True
-            yield squarings, (x2, y2, add_bits, init_bits)
+            yield frobenius_add_program(curve, squarings), (x2, y2), (add_bits, init_bits)
         pending = previous if previous else 0
         while pending > 0:
             squarings = min(pending, MAX_FUSED_SQUARINGS)
-            yield squarings, None
+            yield frobenius_program(curve, squarings), (), ()
             pending -= squarings
 
-    def program_for(squarings, has_add):
-        if has_add:
-            return frobenius_add_program(curve, squarings)
-        return frobenius_program(curve, squarings)
-
-    x_acc, y_acc, z_acc = _run_masked_steps(
-        curve,
-        backend,
-        count,
-        rows_for,
-        program_for=program_for,
-        span_prefix="ladder.tau",
+    x_acc, y_acc, z_acc = run_chunked(
+        backend.ir_executor(), _masked_start(count), rows_for, span="ladder.tau"
     )
     for lane in degenerate:
         z_acc[lane] = 0
-    points = _finalize_projective(curve, backend, x_acc, y_acc, z_acc)
     from .point import Point
 
-    for index in range(count):
-        if points[index] is None:
-            points[index] = curve.multiply(
-                Point(curve, base_x[index], base_y[index]), scalars[index]
-            )
-            if registry.enabled:
-                registry.inc("ladder.tau.fallbacks")
-    return points  # type: ignore[return-value]
+    return _finalize_projective(  # type: ignore[return-value]
+        curve, backend, x_acc, y_acc, z_acc,
+        lambda index: curve.multiply(Point(curve, base_x[index], base_y[index]), scalars[index]),
+        prefix="ladder.tau",
+        inverse_span="scalarmul.inverse_batch",
+    )
 
 
 # ------------------------------------------------------------ fixed-base comb
@@ -875,6 +787,8 @@ def multiply_comb_batch(
     if registry.enabled:
         registry.inc("comb.columns", columns * count)
 
+    program = double_add_program(curve)
+
     def rows_for(start, stop):
         slots = stop - start
         started = [False] * slots
@@ -906,21 +820,15 @@ def multiply_comb_batch(
                 else:
                     init_bits[slot] = 1
                     started[slot] = True
-            yield 0, (x2, y2, add_bits, init_bits)
+            yield program, (x2, y2), (add_bits, init_bits)
 
-    x_acc, y_acc, z_acc = _run_masked_steps(
-        curve,
-        backend,
-        count,
-        rows_for,
-        program_for=lambda key, has_add: double_add_program(curve),
-        span_prefix="comb",
+    x_acc, y_acc, z_acc = run_chunked(
+        backend.ir_executor(), _masked_start(count), rows_for, span="comb"
     )
-    points = _finalize_projective(curve, backend, x_acc, y_acc, z_acc)
     generator = curve.generator
-    for index in range(count):
-        if points[index] is None:
-            points[index] = curve.multiply(generator, scalars[index])
-            if registry.enabled:
-                registry.inc("comb.fallbacks")
-    return points  # type: ignore[return-value]
+    return _finalize_projective(  # type: ignore[return-value]
+        curve, backend, x_acc, y_acc, z_acc,
+        lambda index: curve.multiply(generator, scalars[index]),
+        prefix="comb",
+        inverse_span="scalarmul.inverse_batch",
+    )

@@ -19,8 +19,9 @@ returned as lowercase hex):
 * ``POST /sign``   — ``{"curve", "private", "digest"}`` → ``{"r", "s"}``;
 * ``GET /healthz`` — liveness (curves warmed, pool mode);
 * ``GET /stats``   — queue depth, batch-fill histogram, flush-reason
-  counts and per-op latency p50/p95/p99 straight from the telemetry
-  registry's bucketed observations.
+  counts, each batch's wait in the worker queue (``queue_wait_s``) and
+  own execution (``execute_s``), and per-op latency p50/p95/p99 straight
+  from the telemetry registry's bucketed observations.
 
 All three POST bodies take an optional ``"scalar_rep"`` (``"auto"`` /
 ``"binary"`` / ``"tau"``) which is resolved at ingress — so ``"auto"``
@@ -279,6 +280,7 @@ class CryptoService:
             },
             "batch_fill": _summary("service.batch_fill"),
             "execute_s": _summary("service.execute"),
+            "queue_wait_s": _summary("service.queue_wait"),
             "latency_s": {
                 op: _summary(f"service.latency.{op}") for op in OP_FIELDS
             },

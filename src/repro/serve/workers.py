@@ -242,12 +242,21 @@ def _worker_probe(delay_s: float) -> int:
     return os.getpid()
 
 
+def _timed_group(curve, backend, op, scalar_rep, columns):
+    """``(rows, execute_s)``: one group and the time its own execution took."""
+    started = time.perf_counter()
+    rows = execute_group_isolated(curve, backend, op, scalar_rep, columns)
+    return rows, time.perf_counter() - started
+
+
 def _worker_execute(task: "Tuple[str, str, str, Dict[str, List[int]]]"):
     """One leased batch, executed against a local metrics registry.
 
-    Returns ``(rows, snapshot)``; the parent folds the snapshot so the
-    registry aggregates match a serial run (a forked child's inherited
-    registry contents must never be re-reported).
+    Returns ``(rows, snapshot, execute_s)``; the parent folds the snapshot
+    so the registry aggregates match a serial run (a forked child's
+    inherited registry contents must never be re-reported), and records
+    ``execute_s`` — the task's own execution time, without its wait in the
+    pool's queue.
     """
     op, curve_name, scalar_rep, columns = task
     state = _WORKER_CURVES.get(curve_name)
@@ -257,14 +266,15 @@ def _worker_execute(task: "Tuple[str, str, str, Dict[str, List[int]]]"):
         _WORKER_CURVES[curve_name] = state
     curve, backend = state
     if not _metrics.REGISTRY.enabled:
-        return execute_group_isolated(curve, backend, op, scalar_rep, columns), None
+        rows, execute_s = _timed_group(curve, backend, op, scalar_rep, columns)
+        return rows, None, execute_s
     local = _metrics.MetricsRegistry()
     previous = _metrics.set_registry(local)
     try:
-        rows = execute_group_isolated(curve, backend, op, scalar_rep, columns)
+        rows, execute_s = _timed_group(curve, backend, op, scalar_rep, columns)
     finally:
         _metrics.set_registry(previous)
-    return rows, local.snapshot()
+    return rows, local.snapshot(), execute_s
 
 
 class WorkerPool:
@@ -331,27 +341,41 @@ class WorkerPool:
             )
 
         def _complete(done: "Future") -> None:
+            # Submit-to-done splits into the wait behind earlier groups
+            # (service.queue_wait) and the task's own run (service.execute).
             elapsed = time.perf_counter() - submitted_at
+            error = done.exception()
+            if error is None:
+                rows, snapshot, execute_s = done.result()
+            else:
+                rows, snapshot, execute_s = None, None, elapsed
+            queue_wait_s = elapsed - execute_s
             _trace.record_span(
-                "serve.execute", submitted_at, elapsed, op=op, curve=curve_name, lanes=lanes
+                "serve.queue_wait", submitted_at, queue_wait_s, op=op, curve=curve_name
+            )
+            _trace.record_span(
+                "serve.execute", submitted_at + queue_wait_s, execute_s,
+                op=op, curve=curve_name, lanes=lanes,
             )
             registry = _metrics.REGISTRY
             if registry.enabled:
-                registry.observe("service.execute", elapsed)
-            error = done.exception()
+                registry.observe("service.queue_wait", queue_wait_s)
+                registry.observe("service.execute", execute_s)
+                if snapshot is not None:
+                    registry.merge(snapshot)
             if error is not None:
                 outer.set_exception(error)
-                return
-            rows, snapshot = done.result()
-            if snapshot is not None and registry.enabled:
-                registry.merge(snapshot)
-            outer.set_result(rows)
+            else:
+                outer.set_result(rows)
 
         inner.add_done_callback(_complete)
         return outer
 
     def _execute_inline(self, key: "GroupKey", columns: "Dict[str, List[int]]"):
-        """Inline-mode task: same-process execution, no snapshot to fold."""
+        """Inline-mode task: same-process execution, no snapshot to fold.
+
+        Returns ``(rows, None, execute_s)`` like :func:`_worker_execute`.
+        """
         op, curve_name, scalar_rep = key
         with self._lock:
             state = self._inline_curves.get(curve_name)
@@ -360,7 +384,8 @@ class WorkerPool:
                 state = (curve, curve.field.resolve_backend(self.backend_name))
                 self._inline_curves[curve_name] = state
         curve, backend = state
-        return execute_group_isolated(curve, backend, op, scalar_rep, columns), None
+        rows, execute_s = _timed_group(curve, backend, op, scalar_rep, columns)
+        return rows, None, execute_s
 
     def close(self) -> None:
         self._executor.shutdown(wait=True)

@@ -25,6 +25,7 @@ from repro.backends import (
     execute_program,
     get_backend,
     numpy_available,
+    run_program,
     schedule_program,
 )
 from repro.curves import curve_by_name
@@ -42,9 +43,9 @@ PARITY_CURVES = ["T-13", "K-163", "K-233"]
 
 
 def _edge_scalars(curve, count, rng):
-    """Scalars covering the masked-select corners: 0, 1, n-1, mixed widths."""
+    """Scalars covering the masked-select corners: 0, 1, n-1, n, mixed widths."""
     n = curve.order if curve.order is not None else curve.field.order
-    scalars = [0, 1, n - 1, 2, 3]
+    scalars = [0, 1, n - 1, n, 2, 3]
     for width in range(1, curve.field.m, max(1, curve.field.m // 8)):
         scalars.append((rng.getrandbits(width) | (1 << (width - 1))) % n or 1)
     while len(scalars) < count:
@@ -156,12 +157,8 @@ class TestExecuteProgramParity:
         b = [rng.getrandbits(163) for _ in range(70)]
         bits = [rng.getrandbits(1) for _ in range(70)]
         interpreted = execute_program(program, backend, {"a": a, "b": b}, {"bit": bits})["r"]
-        executor = backend.ir_executor()
-        compiled = executor.compile(program)
-        outputs = compiled.run(
-            {"a": executor.pack(a), "b": executor.pack(b)}, {"bit": bits}
-        )
-        assert executor.unpack(outputs["r"]) == interpreted
+        executed = run_program(backend.ir_executor(), program, {"a": a, "b": b}, {"bit": bits})
+        assert executed["r"] == interpreted
 
 
 class TestInterpretingExecutor:
@@ -177,8 +174,8 @@ class TestInterpretingExecutor:
     def test_boundary_is_plain_int_lists(self):
         executor = get_backend("python", GF2_13).ir_executor()
         packed = executor.pack([3, 1, 4])
-        assert packed.array == [3, 1, 4]
-        assert executor.unpack(executor.vector(packed.array, 3)) == [3, 1, 4]
+        assert packed == [3, 1, 4]
+        assert executor.unpack(packed, 3) == [3, 1, 4]
         assert executor.broadcast_bits([1, 0, 1]) == [1, 0, 1]
 
     @pytest.mark.parametrize("name", ["python", "engine"])
@@ -192,7 +189,7 @@ class TestInterpretingExecutor:
         bits = [rng.getrandbits(1) for _ in range(20)]
         executor = backend.ir_executor()
         (result,) = executor.compile(program).run_arrays(
-            (executor.pack(a).array, executor.pack(b).array), (executor.broadcast_bits(bits),)
+            (executor.pack(a), executor.pack(b)), (executor.broadcast_bits(bits),)
         )
         assert result == execute_program(program, backend, {"a": a, "b": b}, {"bit": bits})["r"]
         assert result == [_probe_reference(field, x, y, bit) for x, y, bit in zip(a, b, bits)]
@@ -213,8 +210,10 @@ class TestFusedLadderParity:
         rng = random.Random(2018)
         scalars = _edge_scalars(curve, 14, rng)
         points = [curve.generator] * len(scalars)
-        fused = curve.multiply_batch(points, scalars, backend="bitslice")
-        interpreted = curve.multiply_batch(points, scalars, backend="engine")
+        # fixed_base=False keeps generator lanes on the binary ladder (k = n
+        # and n - 1 are its Z = 0 fallback lanes) instead of the comb.
+        fused = curve.multiply_batch(points, scalars, backend="bitslice", fixed_base=False)
+        interpreted = curve.multiply_batch(points, scalars, backend="engine", fixed_base=False)
         reference = [curve.multiply(curve.generator, scalar) for scalar in scalars]
         assert fused == interpreted == reference
 

@@ -22,10 +22,13 @@ from hypothesis import strategies as st
 from repro.backends import (
     IRBuilder,
     PlaneProgram,
+    available_backends,
     bitsliced_netlist,
     get_backend,
     numpy_available,
     plane_program,
+    run_chunked,
+    run_program,
     schedule_program,
 )
 from repro.curves import curve_by_name, ecdh_batch, keygen_batch
@@ -41,9 +44,13 @@ PARITY_CURVES = ["T-13", "K-163", "K-233"]
 
 
 def _mixed_scalars(curve, count, rng):
-    """Scalars covering the masked-select corners: 0, 1, n-1, and mixed widths."""
+    """Scalars covering the masked-select corners: 0, 1, n-1, n, and mixed widths.
+
+    ``n`` and ``n - 1`` drive the binary ladder's ``Z = 0`` lanes (``k ≡ 0``
+    and ``k ≡ -1`` modulo the generator's order).
+    """
     n = curve.order if curve.order is not None else curve.field.order
-    scalars = [0, 1, n - 1, 2, 3]
+    scalars = [0, 1, n - 1, n, 2, 3]
     # Deliberately different bit lengths inside one batch.
     for width in range(1, curve.field.m, max(1, curve.field.m // 8)):
         scalars.append((rng.getrandbits(width) | (1 << (width - 1))) % n or 1)
@@ -74,11 +81,7 @@ def _single_op_program(kind, linear_map=None):
 
 def _run_on(backend_name, program, inputs, masks=None):
     """Run ``program`` through ``backend_name``'s executor; unpacked outputs."""
-    executor = get_backend(backend_name, GF2_163).ir_executor()
-    outputs = executor.compile(program).run(
-        {name: executor.pack(values) for name, values in inputs.items()}, masks
-    )
-    return {name: executor.unpack(vector) for name, vector in outputs.items()}
+    return run_program(get_backend(backend_name, GF2_163).ir_executor(), program, inputs, masks)
 
 
 @requires_numpy
@@ -89,14 +92,16 @@ class TestPlaneCapability:
 
 
 @requires_numpy
-class TestPlaneVectorRoundtrip:
+class TestPackUnpackRoundtrip:
     """Single-op programs: bitslice planes == interpreting executor == reference."""
 
-    def test_pack_unpack_is_identity(self):
-        executor = get_backend("bitslice", GF2_163).ir_executor()
+    @pytest.mark.parametrize("name", available_backends())
+    def test_pack_unpack_is_identity(self, name):
+        executor = get_backend(name, GF2_163).ir_executor()
         rng = random.Random(5)
         values = [0, 1, (1 << 163) - 1] + [rng.getrandbits(163) for _ in range(70)]
-        assert executor.unpack(executor.pack(values)) == values
+        assert executor.unpack(executor.pack(values), len(values)) == values
+        assert executor.unpack(executor.pack(values), 3) == values[:3]
 
     def test_xor_and_select(self):
         rng = random.Random(6)
@@ -115,15 +120,16 @@ class TestPlaneVectorRoundtrip:
     def test_mismatched_batches_are_rejected(self):
         executor = get_backend("bitslice", GF2_163).ir_executor()
         rng = random.Random(12)
-        narrow = executor.pack([rng.getrandbits(163) for _ in range(10)])   # 1 lane word
-        wide = executor.pack([rng.getrandbits(163) for _ in range(70)])     # 2 lane words
-        with pytest.raises(ValueError, match="one batch"):
-            executor.compile(_single_op_program("xor")).run({"a": narrow, "b": wide})
-        with pytest.raises(ValueError, match="one batch"):
-            executor.compile(_single_op_program("mul")).run({"a": narrow, "b": wide})
-        mask = executor.broadcast_bits([1] * 10)
-        with pytest.raises(ValueError, match="lane words"):
-            executor.compile(_single_op_program("select")).run({"a": wide, "b": wide}, {"bit": mask})
+        narrow = [rng.getrandbits(163) for _ in range(10)]   # 1 lane word
+        wide = [rng.getrandbits(163) for _ in range(70)]     # 2 lane words
+        with pytest.raises(ValueError, match="differ in length"):
+            run_program(executor, _single_op_program("xor"), {"a": narrow, "b": wide})
+        with pytest.raises(ValueError, match="differ in length"):
+            run_program(executor, _single_op_program("mul"), {"a": narrow, "b": wide})
+        with pytest.raises(ValueError, match="70-lane chunk"):
+            run_program(
+                executor, _single_op_program("select"), {"a": wide, "b": wide}, {"bit": [1] * 10}
+            )
 
     def test_multiply_planes_single_and_stacked(self):
         field = GF2_163
@@ -281,3 +287,97 @@ class TestPlaneLadderParity:
         assert shared == [
             curve.multiply(q.public, p.private) for p, q in zip(pairs, reversed(pairs))
         ]
+
+
+class TestChunkedDriver:
+    """``run_chunked``: one loop per formula, chunked at the executor's width."""
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_state_steps_and_constants_across_chunks(self, name):
+        field = GF2_163
+        program = _single_op_program("mul")  # y = a * b, fed back as a
+        rng = random.Random(21)
+        a = [rng.getrandbits(163) for _ in range(19)]
+        b = [rng.getrandbits(163) for _ in range(19)]
+        chunked = {"chunk_size": 8} if name in ("bitslice", "native") else {}
+        backend = get_backend(name, field, **chunked)
+
+        def steps(start, stop):
+            for _ in range(3):
+                yield program, (), ()
+
+        (result,) = run_chunked(backend.ir_executor(), [a], steps, constants=[b], span="test")
+        expected = a
+        for _ in range(3):
+            expected = [field.multiply(x, y) for x, y in zip(expected, b)]
+        assert result == expected
+
+    @requires_numpy
+    def test_gathered_columns_are_sliced_per_chunk(self):
+        program = _single_op_program("xor")  # y = a ^ b with b gathered per step
+        executor = get_backend("bitslice", GF2_163, chunk_size=2).ir_executor()
+        seen = []
+
+        def steps(start, stop):
+            seen.append((start, stop))
+            yield program, ([lane + 1 for lane in range(start, stop)],), ()
+
+        (result,) = run_chunked(executor, [[0] * 5], steps)
+        assert result == [1, 2, 3, 4, 5]
+        assert seen == [(0, 2), (2, 4), (4, 5)]
+
+    def test_rejects_ragged_and_empty_batches(self):
+        executor = get_backend("python", GF2_163).ir_executor()
+        program = _single_op_program("xor")
+        with pytest.raises(ValueError, match="differ in length"):
+            run_chunked(executor, [[1, 2]], lambda s, e: [], constants=[[1, 2, 3]])
+        with pytest.raises(ValueError, match="2-lane chunk"):
+            run_chunked(executor, [[1, 2]], lambda s, e: [(program, ([1, 2, 3],), ())])
+        with pytest.raises(ValueError, match="at least one lane"):
+            run_chunked(executor, [[]], lambda s, e: [])
+        with pytest.raises(KeyError, match="needs input 'b'"):
+            run_program(executor, program, {"a": [1]})
+
+
+class TestBinaryBatchLadder:
+    """The binary batch ladder: constant step count and the Z = 0 fallback."""
+
+    @pytest.mark.parametrize("name", available_backends())
+    def test_z_zero_lanes_take_the_scalar_fallback(self, name):
+        from repro.telemetry import metrics
+
+        curve = curve_by_name("T-13")
+        rng = random.Random(17)
+        scalars = _mixed_scalars(curve, 12, rng)
+        points = [curve.generator] * len(scalars)
+        registry = metrics.MetricsRegistry()
+        previous = metrics.set_registry(registry)
+        try:
+            got = curve.multiply_batch(points, scalars, backend=name, fixed_base=False)
+            fallbacks = registry.snapshot()["counters"].get("ladder.fallbacks", 0)
+        finally:
+            metrics.set_registry(previous)
+        assert got == [curve.multiply(curve.generator, scalar) for scalar in scalars]
+        assert fallbacks == 2  # k = n (R0 = infinity) and k = n - 1 (R1 = infinity)
+
+    def test_step_count_does_not_depend_on_the_scalars(self, monkeypatch):
+        from repro.backends.ir import InterpretedProgram
+
+        curve = curve_by_name("T-13")
+        n = curve.order
+        calls = []
+        original = InterpretedProgram.run_arrays
+
+        def counting(self, inputs, masks):
+            if self.program.ir.name == "ld_step":
+                calls.append(len(inputs[0]))
+            return original(self, inputs, masks)
+
+        monkeypatch.setattr(InterpretedProgram, "run_arrays", counting)
+        rng = random.Random(5)
+        base = curve.random_point(rng)
+        for scalars in ([2, 3, 5, 1], [n - 2, n - 3, rng.randrange(n // 2, n), n - 5]):
+            calls.clear()
+            got = curve.multiply_batch([base] * 4, scalars, backend="python", fixed_base=False)
+            assert got == [curve.multiply(base, scalar) for scalar in scalars]
+            assert len(calls) == (n - 1).bit_length()

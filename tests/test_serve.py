@@ -192,6 +192,35 @@ class TestWorkerPool:
             "worker-process telemetry snapshot was not folded into the parent"
         )
 
+    def test_execute_excludes_and_queue_wait_includes_earlier_groups(
+        self, toy, fresh_registry, monkeypatch
+    ):
+        """Two groups on the inline pool, each slowed to 50 ms: the second one
+        queues behind the first, and only that wait counts as queue_wait."""
+        from repro.serve import workers
+
+        def slow_group(curve, backend, op, scalar_rep, columns):
+            time.sleep(0.05)
+            return [{"x": 0, "y": 0} for _ in columns["private"]]
+
+        monkeypatch.setattr(workers, "execute_group_isolated", slow_group)
+        pool = WorkerPool(workers=0, curves=())
+        try:
+            futures = [
+                pool.submit(("keygen", "T-13", "tau"), {"private": [index + 1]})
+                for index in range(2)
+            ]
+            for future in futures:
+                future.result(timeout=30)
+        finally:
+            pool.close()
+        observations = fresh_registry.snapshot()["observations"]
+        execute = observations["service.execute"]
+        queue_wait = observations["service.queue_wait"]
+        assert execute["count"] == queue_wait["count"] == 2
+        assert 0.05 <= execute["min_s"] and execute["max_s"] < 0.09
+        assert queue_wait["max_s"] >= 0.045  # the second group waited out the first
+
     def test_backend_must_be_a_name(self):
         with pytest.raises(TypeError):
             WorkerPool(workers=0, backend=object(), curves=())
@@ -399,6 +428,7 @@ class TestCryptoService:
         assert stats["queue_depth"] == 0
         assert set(stats["flush_reasons"]) == {"size", "deadline", "close"}
         assert "latency_s" in stats and "batch_fill" in stats
+        assert "execute_s" in stats and "queue_wait_s" in stats
 
     def test_loadgen_closed_loop_verifies_every_response(self):
         async def scenario(service, port):
