@@ -297,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="flush a batch group when it reaches this many requests (default 256)",
     )
     serve.add_argument(
-        "--max-delay-ms", type=float, default=5.0,
-        help="flush a batch group this long after its oldest request (default 5 ms)",
-    )
-    serve.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="worker processes executing batches (default: CPU count; 0 runs "
         "batches inline on one worker thread — best on single-core machines)",
@@ -917,7 +913,6 @@ def _run_serve(args) -> int:
             backend=args.backend,
             curves=curves,
             max_lanes=args.max_lanes,
-            max_delay_ms=args.max_delay_ms,
             workers=args.workers,
             start_method=args.start_method,
             seed=args.seed,
@@ -929,7 +924,7 @@ def _run_serve(args) -> int:
     def announce(port: int) -> None:
         print(
             f"serving {', '.join(curves)} on http://{args.host}:{port} "
-            f"(max_lanes {args.max_lanes}, max_delay {args.max_delay_ms} ms)",
+            f"(max_lanes {args.max_lanes})",
             file=sys.stderr,
         )
 

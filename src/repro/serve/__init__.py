@@ -9,8 +9,8 @@ production inference servers use to amortize kernel launches:
 * :mod:`repro.serve.batcher` — a thread-safe :class:`DynamicBatcher`
   that parks each request behind a future and flushes a group of
   compatible requests (same curve × op × scalar recoding) as one batch
-  when it reaches the lane target **or** its deadline expires
-  (default 256 lanes / 5 ms);
+  when it reaches the lane target (default 256) **or** a worker is free
+  — self-clocking, so there is no flush timer to tune;
 * :mod:`repro.serve.workers` — a :class:`WorkerPool` of warmed worker
   processes (start-method-agnostic; also the sharding engine behind
   ``repro ecdh --jobs``) that execute leased batches through the batched

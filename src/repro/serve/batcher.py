@@ -4,25 +4,39 @@ A :class:`DynamicBatcher` accepts one request at a time (each parked
 behind a :class:`concurrent.futures.Future`), groups compatible requests
 by :data:`GroupKey` — ``(op, curve, scalar_rep)``, the tuple that decides
 whether two requests can share one batched ladder call — and hands each
-group to a ``dispatch`` callable as one :class:`Batch` when either
+group to a ``dispatch`` callable as one :class:`Batch`.  ``dispatch``
+returns the batch's lease future, which resolves to ``(results,
+execute_s)``; the batcher counts leases in flight against ``workers``.
+A group flushes when
 
-* the group reaches ``max_lanes`` pending requests (**size flush** — the
-  batch is as wide as the plane/word kernels want it), or
-* ``max_delay_s`` has elapsed since the group's *oldest* request
-  (**deadline flush** — a lone request never waits longer than the
-  deadline for company).
+* it reaches ``max_lanes`` pending requests (**size flush**, even while
+  every worker is busy), or
+* a worker is free, its oldest request has waited longest of all
+  groups, and the *hold* has passed since that request arrived or the
+  service last went from every worker busy to one free, whichever is
+  later (**idle flush**).  The hold is :data:`HOLD_SHARE` × the
+  execution time of the last completed batch, 0 before any.  Oldest
+  first bounds every group's wait, whatever the mix of keys.
 
-Size flushes happen inline on the submitting thread, so a full batch
-never waits for the flusher to wake; deadline flushes come from one
-background flusher thread that sleeps until the earliest pending
-deadline.  ``dispatch`` runs outside the batcher lock and is free to
-block (the server's dispatch submits to the worker pool).
+So requests coalesce behind a running batch and the batch size follows
+the service's own speed — self-clocking batching (Clipper, Crankshaw et
+al., NSDI 2017) with no timer to tune per machine or substrate.  The
+hold keeps closed-loop clients together: the first request of a wave
+waits for the rest, and requests parked behind a batch wait for that
+batch's clients to send their next ones, so a wave split into two
+cohorts merges again instead of alternating two part-filled batches.
+A free worker idles for at most a tenth of one batch's execution time.
+
+Flushes due at submit happen inline on the submitting thread; the rest
+come from one flusher thread that sleeps until the next hold expires or
+a lease completes.  ``dispatch`` runs outside the batcher lock.
 
 Telemetry (all through :mod:`repro.telemetry.metrics`):
 
 * ``service.requests`` / ``service.batches`` counters,
-* ``service.flush.size`` / ``service.flush.deadline`` / ``service.flush.close``
+* ``service.flush.size`` / ``service.flush.idle`` / ``service.flush.close``
   flush-reason counters,
+* ``service.flush_wait`` — each request's wait from enqueue to flush,
 * ``service.batch_fill`` — a bucketed histogram of flushed lane counts,
 * ``service.queue.depth`` — a gauge of requests currently parked.
 
@@ -49,13 +63,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ride one batched protocol call.
 GroupKey = Tuple[str, str, str]
 
-__all__ = ["GroupKey", "PendingRequest", "Batch", "DynamicBatcher"]
+__all__ = ["GroupKey", "PendingRequest", "Batch", "DynamicBatcher", "HOLD_SHARE"]
 
 
-#: Default flush policy: the plane/word kernels' preferred lane count and
-#: a deadline short enough to be invisible next to one m=163 ladder.
+#: The plane/word kernels' preferred lane count.
 DEFAULT_MAX_LANES = 256
-DEFAULT_MAX_DELAY_S = 0.005
+
+#: An idle flush waits this share of the last batch's execution time
+#: for company.
+HOLD_SHARE = 0.1
 
 
 @dataclass
@@ -73,7 +89,7 @@ class Batch:
 
     key: "GroupKey"
     requests: "List[PendingRequest]"
-    reason: str  # "size" | "deadline" | "close"
+    reason: str  # "size" | "idle" | "close"
     flushed_at: float
 
     def __len__(self) -> int:
@@ -81,33 +97,37 @@ class Batch:
 
 
 class DynamicBatcher:
-    """Thread-safe size-or-deadline request coalescer.
+    """Thread-safe size-or-idle request coalescer.
 
-    ``dispatch(batch)`` is called outside the internal lock, from the
-    submitting thread on size flushes and from the flusher thread on
-    deadline flushes.  Exceptions raised by ``dispatch`` are routed to
-    the batch's request futures, so a failing dispatch never takes the
-    flusher thread down.
+    ``dispatch(batch)`` returns the batch's lease future, resolving to
+    ``(results, execute_s)``, and is called outside the internal lock,
+    from the submitting thread or the flusher thread.  ``workers`` is how
+    many leases may run at once before idle flushes stop.  Exceptions
+    raised by ``dispatch`` are routed to the batch's request futures and
+    free the batch's slot, so a failing dispatch never takes the flusher
+    thread down.
     """
 
     def __init__(
         self,
-        dispatch: "Callable[[Batch], None]",
+        dispatch: "Callable[[Batch], Future]",
         *,
         max_lanes: int = DEFAULT_MAX_LANES,
-        max_delay_s: float = DEFAULT_MAX_DELAY_S,
+        workers: int = 1,
     ) -> None:
         if max_lanes < 1:
             raise ValueError("max_lanes must be at least 1")
-        if max_delay_s <= 0:
-            raise ValueError("max_delay_s must be positive")
+        if workers < 1:
+            raise ValueError("workers must be at least 1")
         self._dispatch = dispatch
         self.max_lanes = max_lanes
-        self.max_delay_s = max_delay_s
+        self.workers = workers
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._groups: "Dict[GroupKey, List[PendingRequest]]" = {}
-        self._deadlines: "Dict[GroupKey, float]" = {}
+        self._in_flight = 0
+        self._hold_s = 0.0
+        self._freed_at = 0.0
         self._closed = False
         self._flusher = threading.Thread(
             target=self._run_flusher, name="repro-serve-flusher", daemon=True
@@ -119,7 +139,6 @@ class DynamicBatcher:
     def submit(self, key: "GroupKey", payload: "Dict[str, Any]") -> "Future":
         """Enqueue one request; returns the future its result will land on."""
         request = PendingRequest(payload, Future())
-        full: "Optional[Batch]" = None
         with self._wakeup:
             if self._closed:
                 raise RuntimeError("the batcher is closed")
@@ -130,12 +149,13 @@ class DynamicBatcher:
                 registry.inc("service.requests")
                 registry.gauge("service.queue.depth", self._depth_locked())
             if len(group) >= self.max_lanes:
-                full = self._take_locked(key, "size")
-            elif len(group) == 1:
-                self._deadlines[key] = request.enqueued_at + self.max_delay_s
-                self._wakeup.notify()
-        if full is not None:
-            self._dispatch_batch(full)
+                batch: "Optional[Batch]" = self._take_locked(key, "size")
+            else:
+                batch, _ = self._idle_locked()
+            if self._groups and self._in_flight < self.workers:
+                self._wakeup.notify()  # a hold is running: let the flusher time it
+        if batch is not None:
+            self._dispatch_batch(batch)
         return request.future
 
     def queue_depth(self) -> int:
@@ -148,17 +168,37 @@ class DynamicBatcher:
 
     # -- flushing -----------------------------------------------------
 
+    def _idle_locked(self) -> "Tuple[Optional[Batch], Optional[float]]":
+        """``(batch, None)`` for a due idle flush, else ``(None, wait_s)``.
+
+        ``wait_s`` is how long until the oldest group's hold passes, or
+        ``None`` when no idle flush can happen before the next submit or
+        lease completion (nothing pending, or every worker busy).  The
+        oldest group's hold passes first, as its start is the earliest.
+        """
+        if not self._groups or self._in_flight >= self.workers:
+            return None, None
+        key = min(self._groups, key=lambda name: self._groups[name][0].enqueued_at)
+        since = max(self._groups[key][0].enqueued_at, self._freed_at)
+        wait_s = since + self._hold_s - time.perf_counter()
+        if wait_s > 0:
+            return None, wait_s
+        return self._take_locked(key, "idle"), None
+
     def _take_locked(self, key: "GroupKey", reason: str) -> Batch:
         """Detach one group as a :class:`Batch` (caller holds the lock)."""
         requests = self._groups.pop(key)
-        self._deadlines.pop(key, None)
+        self._in_flight += 1
+        flushed_at = time.perf_counter()
         registry = _metrics.REGISTRY
         if registry.enabled:
             registry.inc("service.batches")
             registry.inc(f"service.flush.{reason}")
             registry.observe("service.batch_fill", len(requests))
             registry.gauge("service.queue.depth", self._depth_locked())
-        return Batch(key, requests, reason, time.perf_counter())
+            for request in requests:
+                registry.observe("service.flush_wait", flushed_at - request.enqueued_at)
+        return Batch(key, requests, reason, flushed_at)
 
     def _dispatch_batch(self, batch: Batch) -> None:
         oldest = min(request.enqueued_at for request in batch.requests)
@@ -172,42 +212,42 @@ class DynamicBatcher:
             reason=batch.reason,
         )
         try:
-            self._dispatch(batch)
+            lease = self._dispatch(batch)
         except Exception as error:  # route, don't kill the flusher
             for request in batch.requests:
                 if not request.future.done():
                     request.future.set_exception(error)
+            self._release(None)
+            return
+        lease.add_done_callback(self._release)
+
+    def _release(self, lease: "Optional[Future]") -> None:
+        """Free one lease's slot; a completed lease also sets the next hold."""
+        with self._wakeup:
+            self._in_flight -= 1
+            if self._in_flight == self.workers - 1:  # every worker was busy
+                self._freed_at = time.perf_counter()
+            if lease is not None and lease.exception() is None:
+                self._hold_s = HOLD_SHARE * lease.result()[1]
+            self._wakeup.notify()
 
     def _run_flusher(self) -> None:
         while True:
-            due: "List[Batch]" = []
             with self._wakeup:
-                if self._closed and not self._groups:
-                    return
-                now = time.perf_counter()
-                for key in list(self._deadlines):
-                    if self._closed or self._deadlines[key] <= now:
-                        due.append(self._take_locked(key, "close" if self._closed else "deadline"))
-                if not due:
-                    next_deadline = min(self._deadlines.values(), default=None)
-                    timeout = None if next_deadline is None else max(next_deadline - now, 0.0)
-                    self._wakeup.wait(timeout)
-                    continue
+                if self._closed:
+                    if not self._groups:
+                        return
+                    due = [self._take_locked(key, "close") for key in list(self._groups)]
+                else:
+                    batch, wait_s = self._idle_locked()
+                    if batch is None:
+                        self._wakeup.wait(wait_s)
+                        continue
+                    due = [batch]
             for batch in due:
                 self._dispatch_batch(batch)
 
     # -- lifecycle ----------------------------------------------------
-
-    def flush_now(self) -> None:
-        """Flush every pending group immediately (reason ``deadline``).
-
-        Test/shutdown helper: moves the deadlines into the past and wakes
-        the flusher, so the flush still happens on the flusher thread.
-        """
-        with self._wakeup:
-            for key in self._deadlines:
-                self._deadlines[key] = 0.0
-            self._wakeup.notify()
 
     def close(self) -> None:
         """Flush leftovers (reason ``close``) and stop the flusher thread."""

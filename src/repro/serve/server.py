@@ -4,9 +4,11 @@ One asyncio event loop accepts many concurrent keep-alive connections,
 validates each JSON request at ingress, parks it in the
 :class:`~repro.serve.batcher.DynamicBatcher`, and awaits its future.
 Compatible requests (same curve × op × resolved scalar recoding) that
-arrive within the flush window ride **one** batched ladder call on the
-:class:`~repro.serve.workers.WorkerPool` — single-request traffic gets
-batch-256 throughput without clients ever knowing.
+arrive while the workers are busy ride **one** batched ladder call on
+the :class:`~repro.serve.workers.WorkerPool` once a worker frees up —
+single-request traffic gets batch-256 throughput without clients ever
+knowing.  A lone request on an idle service waits at most a tenth of
+the last batch's execution time (nothing before the first batch).
 
 Endpoints (all bodies JSON; integers accepted as ints or hex strings,
 returned as lowercase hex):
@@ -19,9 +21,11 @@ returned as lowercase hex):
 * ``POST /sign``   — ``{"curve", "private", "digest"}`` → ``{"r", "s"}``;
 * ``GET /healthz`` — liveness (curves warmed, pool mode);
 * ``GET /stats``   — queue depth, batch-fill histogram, flush-reason
-  counts, each batch's wait in the worker queue (``queue_wait_s``) and
-  own execution (``execute_s``), and per-op latency p50/p95/p99 straight
-  from the telemetry registry's bucketed observations.
+  counts, where a served request's time goes — its wait in the batcher
+  (``flush_wait_s``), its batch's wait in the worker queue
+  (``queue_wait_s``) and own execution (``execute_s``) — and per-op
+  latency p50/p95/p99 straight from the telemetry registry's bucketed
+  observations.
 
 All three POST bodies take an optional ``"scalar_rep"`` (``"auto"`` /
 ``"binary"`` / ``"tau"``) which is resolved at ingress — so ``"auto"``
@@ -49,10 +53,11 @@ from ..curves import curve_by_name
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
 from ..telemetry.metrics import summary_quantiles
-from .batcher import DEFAULT_MAX_DELAY_S, DEFAULT_MAX_LANES, DynamicBatcher
+from .batcher import DEFAULT_MAX_LANES, DynamicBatcher
 from .workers import OP_FIELDS, WorkerPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import Future
     from typing import Any, Dict, List, Optional, Sequence, Tuple
 
     from .batcher import Batch, GroupKey
@@ -117,7 +122,6 @@ class CryptoService:
         backend: "Optional[str]" = None,
         curves: "Sequence[str]" = DEFAULT_CURVES,
         max_lanes: int = DEFAULT_MAX_LANES,
-        max_delay_ms: float = DEFAULT_MAX_DELAY_S * 1000.0,
         workers: "Optional[int]" = None,
         start_method: "Optional[str]" = None,
         seed: "Optional[int]" = None,
@@ -128,7 +132,7 @@ class CryptoService:
             curves=tuple(self.curves), start_method=start_method,
         )
         self.batcher = DynamicBatcher(
-            self._dispatch, max_lanes=max_lanes, max_delay_s=max_delay_ms / 1000.0
+            self._dispatch, max_lanes=max_lanes, workers=max(1, self.pool.workers)
         )
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
@@ -138,8 +142,12 @@ class CryptoService:
 
     # -- batch plumbing ----------------------------------------------
 
-    def _dispatch(self, batch: "Batch") -> None:
-        """Hand one flushed batch to the pool; fan results back to futures."""
+    def _dispatch(self, batch: "Batch") -> "Future":
+        """Hand one flushed batch to the pool; fan results back to futures.
+
+        Returns the pool's lease future, which the batcher watches to know
+        when a worker is free again and how long the batch ran.
+        """
         fields = OP_FIELDS[batch.key[0]]
         columns = {
             field: [request.payload[field] for request in batch.requests]
@@ -154,11 +162,13 @@ class CryptoService:
                     if not request.future.done():
                         request.future.set_exception(error)
                 return
-            for request, row in zip(batch.requests, done.result()):
+            rows, _ = done.result()
+            for request, row in zip(batch.requests, rows):
                 if not request.future.done():
                     request.future.set_result(row)
 
         lease.add_done_callback(_complete)
+        return lease
 
     # -- request validation ------------------------------------------
 
@@ -274,11 +284,14 @@ class CryptoService:
             "requests": counters.get("service.requests", 0),
             "batches": counters.get("service.batches", 0),
             "batch_fallbacks": counters.get("service.batch_fallback", 0),
+            # Nothing flushes on a deadline any more: "deadline" stays, always
+            # 0, because perfbench/serve_http.py indexes it.
             "flush_reasons": {
                 reason: counters.get(f"service.flush.{reason}", 0)
-                for reason in ("size", "deadline", "close")
+                for reason in ("size", "idle", "deadline", "close")
             },
             "batch_fill": _summary("service.batch_fill"),
+            "flush_wait_s": _summary("service.flush_wait"),
             "execute_s": _summary("service.execute"),
             "queue_wait_s": _summary("service.queue_wait"),
             "latency_s": {
@@ -287,7 +300,6 @@ class CryptoService:
             "config": {
                 "curves": sorted(self.curves),
                 "max_lanes": self.batcher.max_lanes,
-                "max_delay_ms": self.batcher.max_delay_s * 1000.0,
                 "workers": self.pool.workers,
                 "backend": self.pool.backend_name,
             },
@@ -341,6 +353,8 @@ class CryptoService:
                     headers[name.strip().lower()] = value.strip()
                 try:
                     length = int(headers.get("content-length", "0") or "0")
+                    if length < 0:
+                        raise ValueError(length)
                 except ValueError:
                     await self._respond(writer, 400, {"error": "bad Content-Length"}, False)
                     break

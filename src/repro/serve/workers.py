@@ -328,7 +328,12 @@ class WorkerPool:
     # -- leasing ------------------------------------------------------
 
     def submit(self, key: "GroupKey", columns: "Dict[str, List[int]]") -> "Future":
-        """Lease one group to a worker; the future resolves to result rows."""
+        """Lease one group to a worker.
+
+        The future resolves to ``(rows, execute_s)``: one result row per
+        request, and the group's own execution time without its wait in
+        the worker queue.
+        """
         op, curve_name, scalar_rep = key
         outer: "Future" = Future()
         submitted_at = time.perf_counter()
@@ -366,7 +371,7 @@ class WorkerPool:
             if error is not None:
                 outer.set_exception(error)
             else:
-                outer.set_result(rows)
+                outer.set_result((rows, execute_s))
 
         inner.add_done_callback(_complete)
         return outer

@@ -13,12 +13,13 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro.curves import curve_by_name, ecdsa_sign, ecdsa_verify
 from repro.curves.protocols import ecdh_shared
-from repro.serve.batcher import Batch, DynamicBatcher
+from repro.serve.batcher import HOLD_SHARE, DynamicBatcher
 from repro.serve.loadgen import http_get, run_load
 from repro.serve.server import CryptoService
 from repro.serve.workers import (
@@ -53,77 +54,265 @@ def _keypairs(curve, count, seed):
     return privates, [curve.multiply(curve.generator, d) for d in privates]
 
 
+class _Leases:
+    """A ``dispatch`` that records each batch and returns a lease future
+    the test completes by hand: a lease left pending is a busy worker."""
+
+    def finish(self, index, execute_s=0.0):
+        """Complete lease ``index`` as a batch that ran ``execute_s``."""
+        self.leases[index].set_result(([], execute_s))
+
+    def __init__(self):
+        self.batches = []
+        self.leases = []
+        self._flushed = threading.Condition()
+
+    def __call__(self, batch):
+        lease = Future()
+        with self._flushed:
+            self.batches.append(batch)
+            self.leases.append(lease)
+            self._flushed.notify_all()
+        return lease
+
+    def wait_for(self, count, timeout=5.0):
+        with self._flushed:
+            return self._flushed.wait_for(lambda: len(self.batches) >= count, timeout)
+
+
+KEY = ("ecdh", "T-13", "tau")
+
+
 class TestDynamicBatcher:
-    def test_size_flush_is_immediate_and_splits_by_key(self):
-        batches = []
-        batcher = DynamicBatcher(batches.append, max_lanes=3, max_delay_s=60.0)
+    def test_idle_flush_is_inline(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8)
         try:
-            for index in range(3):
-                batcher.submit(("ecdh", "T-13", "tau"), {"i": index})
-            batcher.submit(("keygen", "T-13", "tau"), {"i": 99})
-            assert len(batches) == 1  # size flush happened inline; other group waits
-            batch = batches[0]
-            assert batch.reason == "size"
-            assert batch.key == ("ecdh", "T-13", "tau")
-            assert [request.payload["i"] for request in batch.requests] == [0, 1, 2]
-            assert batcher.queue_depth() == 1
-        finally:
-            batcher.close()
-        assert len(batches) == 2 and batches[1].reason == "close"
-
-    def test_deadline_flush_releases_partial_batches(self):
-        flushed = threading.Event()
-        batches = []
-
-        def dispatch(batch):
-            batches.append(batch)
-            flushed.set()
-
-        batcher = DynamicBatcher(dispatch, max_lanes=100, max_delay_s=0.02)
-        try:
-            batcher.submit(("ecdh", "T-13", "tau"), {"i": 0})
-            batcher.submit(("ecdh", "T-13", "tau"), {"i": 1})
-            assert flushed.wait(5.0), "deadline flush never happened"
-            assert batches[0].reason == "deadline"
-            assert len(batches[0]) == 2
+            batcher.submit(KEY, {"i": 0})
+            # No batch has completed yet, so the hold is 0: the lone
+            # request leaves on the submitting thread, before submit returns.
+            assert [(batch.reason, len(batch)) for batch in leases.batches] == [("idle", 1)]
             assert batcher.queue_depth() == 0
         finally:
             batcher.close()
 
-    def test_dispatch_errors_land_on_request_futures(self):
-        def dispatch(batch):
-            raise RuntimeError("backend on fire")
-
-        batcher = DynamicBatcher(dispatch, max_lanes=2, max_delay_s=60.0)
+    def test_requests_coalesce_while_a_lease_is_pending(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8)
         try:
-            first = batcher.submit(("ecdh", "T-13", "tau"), {})
-            second = batcher.submit(("ecdh", "T-13", "tau"), {})
-            with pytest.raises(RuntimeError, match="on fire"):
-                first.result(timeout=5)
-            with pytest.raises(RuntimeError, match="on fire"):
-                second.result(timeout=5)
+            batcher.submit(KEY, {"i": 0})
+            for index in range(1, 4):
+                batcher.submit(KEY, {"i": index})
+            time.sleep(0.05)
+            assert len(leases.batches) == 1  # the only worker is busy
+            assert batcher.queue_depth() == 3
+            leases.finish(0)
+            assert leases.wait_for(2), "no idle flush after the lease completed"
+            batch = leases.batches[1]
+            assert batch.reason == "idle"
+            assert [request.payload["i"] for request in batch.requests] == [1, 2, 3]
         finally:
             batcher.close()
 
+    def test_size_flush_happens_while_busy_and_splits_by_key(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=3)
+        try:
+            batcher.submit(KEY, {"i": -1})  # occupies the only worker
+            for index in range(3):
+                batcher.submit(KEY, {"i": index})
+            batcher.submit(("keygen", "T-13", "tau"), {"i": 99})
+            assert [batch.reason for batch in leases.batches] == ["idle", "size"]
+            batch = leases.batches[1]
+            assert batch.key == KEY
+            assert [request.payload["i"] for request in batch.requests] == [0, 1, 2]
+            assert batcher.queue_depth() == 1  # the keygen group waits for a worker
+        finally:
+            batcher.close()
+
+    def test_hold_delays_idle_flush_after_a_measured_batch(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8)
+        execute_s = 1.0
+        try:
+            batcher.submit(KEY, {"i": 0})
+            batcher.submit(KEY, {"i": 1})  # parks behind the busy worker
+            time.sleep(0.2)
+            freed_at = time.perf_counter()
+            leases.finish(0, execute_s)
+            # Request 1 has waited longer than the hold would be from its
+            # arrival, but the hold runs from when the worker came free:
+            # the finished batch's client can still join it.
+            assert len(leases.batches) == 1, "the hold must keep the group parked"
+            batcher.submit(KEY, {"i": 2})
+            assert leases.wait_for(2), "the hold never passed"
+            batch = leases.batches[1]
+            assert batch.reason == "idle"
+            assert [request.payload["i"] for request in batch.requests] == [1, 2]
+            assert batch.flushed_at - freed_at >= HOLD_SHARE * execute_s
+        finally:
+            batcher.close()
+
+    def test_a_busy_group_does_not_starve_a_lone_one(self):
+        """Closed-loop ecdh clients keep their group the largest; a lone
+        sign request, parked behind the same busy worker, must still ride
+        one of the next two batches."""
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=64)
+        lone = ("sign", "T-13", "tau")
+        try:
+            batcher.submit(KEY, {"i": 0})  # occupies the only worker
+            batcher.submit(lone, {"i": -1})
+            for done in range(2):
+                for index in range(3):
+                    batcher.submit(KEY, {"i": 1 + 3 * done + index})
+                leases.finish(done, execute_s=0.05)
+                assert leases.wait_for(done + 2), "no idle flush after the lease completed"
+            assert lone in [batch.key for batch in leases.batches]
+        finally:
+            batcher.close()
+
+    def test_a_second_free_worker_does_not_restart_the_hold(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8, workers=2)
+        execute_s = 2.0  # a 0.2 s hold
+        try:
+            batcher.submit(KEY, {"i": 0})
+            batcher.submit(("keygen", "T-13", "tau"), {"i": 1})
+            freed_at = time.perf_counter()
+            leases.finish(0, execute_s)  # saturated -> one free: the hold starts
+            batcher.submit(KEY, {"i": 2})
+            time.sleep(0.1)
+            second_free_at = time.perf_counter()
+            leases.finish(1, execute_s)  # a worker was already free
+            assert leases.wait_for(3), "the hold never passed"
+            batch = leases.batches[2]
+            assert [request.payload["i"] for request in batch.requests] == [2]
+            assert batch.flushed_at - freed_at >= HOLD_SHARE * execute_s
+            assert batch.flushed_at - second_free_at < HOLD_SHARE * execute_s
+        finally:
+            batcher.close()
+
+    def test_dispatch_error_frees_its_slot(self):
+        leases = _Leases()
+
+        def dispatch(batch):
+            if batch.requests[0].payload["i"] == 0:
+                raise RuntimeError("backend on fire")
+            return leases(batch)
+
+        batcher = DynamicBatcher(dispatch, max_lanes=8)
+        try:
+            failed = batcher.submit(KEY, {"i": 0})
+            with pytest.raises(RuntimeError, match="on fire"):
+                failed.result(timeout=5)
+            batcher.submit(KEY, {"i": 1})
+            # The failed dispatch gave its worker back: the next request
+            # flushes inline instead of waiting behind a phantom lease.
+            assert [batch.reason for batch in leases.batches] == ["idle"]
+        finally:
+            batcher.close()
+
+    def test_two_workers_allow_two_batches_in_flight(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8, workers=2)
+        try:
+            batcher.submit(KEY, {"i": 0})
+            batcher.submit(("keygen", "T-13", "tau"), {"i": 1})
+            batcher.submit(("sign", "T-13", "tau"), {"i": 2})
+            assert [batch.key[0] for batch in leases.batches] == ["ecdh", "keygen"]
+            assert batcher.queue_depth() == 1
+            leases.finish(1)
+            assert leases.wait_for(3), "the freed worker took no batch"
+            assert leases.batches[2].key[0] == "sign"
+        finally:
+            batcher.close()
+
+    def test_concurrent_submitters_keep_idle_flushes_within_workers(self):
+        """8 submitting threads, leases completed on 4 pool threads, a tiny
+        switch interval: every request rides exactly one batch, and no idle
+        flush ever finds ``workers`` leases already running."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers, threads, per_thread = 2, 8, 40
+        completer = ThreadPoolExecutor(max_workers=4)
+        lock = threading.Lock()
+        seen, running, overlaps = [], [0], []
+
+        def finish(lease):
+            time.sleep(0.001)
+            with lock:
+                running[0] -= 1
+            lease.set_result(([], 0.0))
+
+        def dispatch(batch):
+            lease = Future()
+            with lock:
+                seen.extend(request.payload["i"] for request in batch.requests)
+                running[0] += 1
+                if batch.reason == "idle" and running[0] > workers:
+                    overlaps.append(running[0])
+            completer.submit(finish, lease)
+            return lease
+
+        def submitter(offset):
+            for index in range(per_thread):
+                key = ("ecdh" if index % 3 else "sign", "T-13", "tau")
+                batcher.submit(key, {"i": offset + index})
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        batcher = DynamicBatcher(dispatch, max_lanes=16, workers=workers)
+        try:
+            pool = [
+                threading.Thread(target=submitter, args=(n * per_thread,))
+                for n in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in pool)
+        finally:
+            batcher.close()
+            completer.shutdown(wait=True)
+            sys.setswitchinterval(switch)
+        assert sorted(seen) == list(range(threads * per_thread))
+        assert overlaps == []
+
+    def test_close_flushes_what_is_pending(self):
+        leases = _Leases()
+        batcher = DynamicBatcher(leases, max_lanes=8)
+        batcher.submit(KEY, {"i": 0})
+        batcher.submit(KEY, {"i": 1})
+        batcher.submit(KEY, {"i": 2})
+        batcher.close()  # the first lease is still pending
+        assert [(batch.reason, len(batch)) for batch in leases.batches] == [
+            ("idle", 1), ("close", 2)
+        ]
+
     def test_submit_after_close_is_refused(self):
-        batcher = DynamicBatcher(lambda batch: None, max_lanes=2, max_delay_s=0.01)
+        batcher = DynamicBatcher(_Leases(), max_lanes=2)
         batcher.close()
         with pytest.raises(RuntimeError):
-            batcher.submit(("ecdh", "T-13", "tau"), {})
+            batcher.submit(KEY, {})
 
     def test_telemetry_counts_requests_batches_and_fill(self, fresh_registry):
-        batcher = DynamicBatcher(lambda batch: None, max_lanes=2, max_delay_s=60.0)
+        batcher = DynamicBatcher(_Leases(), max_lanes=2)
         try:
-            batcher.submit(("ecdh", "T-13", "tau"), {})
-            batcher.submit(("ecdh", "T-13", "tau"), {})
+            for index in range(3):
+                batcher.submit(KEY, {"i": index})
         finally:
             batcher.close()
         snap = fresh_registry.snapshot()
-        assert snap["counters"]["service.requests"] == 2
-        assert snap["counters"]["service.batches"] == 1
+        assert snap["counters"]["service.requests"] == 3
+        assert snap["counters"]["service.batches"] == 2
+        assert snap["counters"]["service.flush.idle"] == 1
         assert snap["counters"]["service.flush.size"] == 1
         fill = snap["observations"]["service.batch_fill"]
-        assert fill["count"] == 1 and fill["min_s"] == 2
+        assert fill["count"] == 2 and fill["min_s"] == 1 and fill["max_s"] == 2
+        assert snap["observations"]["service.flush_wait"]["count"] == 3
 
 
 class TestWorkerPool:
@@ -132,7 +321,7 @@ class TestWorkerPool:
         other, _ = _keypairs(toy, 6, seed=2)
         pool = WorkerPool(workers=0, curves=("T-13",))
         try:
-            rows = pool.submit(
+            rows, _ = pool.submit(
                 ("ecdh", "T-13", "tau"),
                 {
                     "private": other,
@@ -181,7 +370,7 @@ class TestWorkerPool:
         }
         pool = WorkerPool(workers=1, curves=("T-13",))
         try:
-            rows = pool.submit(("ecdh", "T-13", "tau"), columns).result(timeout=60)
+            rows, _ = pool.submit(("ecdh", "T-13", "tau"), columns).result(timeout=60)
         finally:
             pool.close()
         for private, peer, row in zip(other, peers, rows):
@@ -235,7 +424,6 @@ def _with_service(async_fn, **service_kwargs):
     """Run ``async_fn(service, port)`` against a live service, then stop it."""
     service_kwargs.setdefault("curves", ("T-13",))
     service_kwargs.setdefault("workers", 0)
-    service_kwargs.setdefault("max_delay_ms", 5.0)
     service_kwargs.setdefault("seed", 99)
 
     async def runner():
@@ -249,18 +437,35 @@ def _with_service(async_fn, **service_kwargs):
     return asyncio.run(runner())
 
 
-async def _post_json(port, path, payload):
-    from repro.serve.loadgen import _post
-
+async def _exchange(port, talk):
+    """Open a connection, return ``await talk(reader, writer)``, close it."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        return await _post(reader, writer, path, payload)
+        return await talk(reader, writer)
     finally:
         writer.close()
         try:
             await writer.wait_closed()
         except Exception:
             pass
+
+
+async def _post_json(port, path, payload):
+    from repro.serve.loadgen import _post
+
+    return await _exchange(port, lambda reader, writer: _post(reader, writer, path, payload))
+
+
+async def _raw_request(port, head):
+    """Send raw request bytes; returns the parsed ``(status, body)``."""
+    from repro.serve.loadgen import _read_response
+
+    async def talk(reader, writer):
+        writer.write(head)
+        await writer.drain()
+        return await _read_response(reader)
+
+    return await _exchange(port, talk)
 
 
 class TestCryptoService:
@@ -299,7 +504,7 @@ class TestCryptoService:
                 *(_post_json(port, path, payload) for path, payload in requests)
             )
 
-        responses = _with_service(scenario, max_lanes=64, max_delay_ms=25.0)
+        responses = _with_service(scenario, max_lanes=64)
         assert all(status == 200 for status, _ in responses)
         for index in range(4):
             ecdh_bin, ecdh_tau, keygen, sign = responses[4 * index: 4 * index + 4]
@@ -316,10 +521,12 @@ class TestCryptoService:
         counters = fresh_registry.snapshot()["counters"]
         assert counters["service.requests"] == 16
         # 4 distinct groups: ecdh-binary, ecdh-tau (tau + auto merged),
-        # keygen-tau, sign-tau.  Nothing reached max_lanes, so exactly one
-        # deadline batch per group.
-        assert counters["service.batches"] == 4
-        assert counters["service.flush.deadline"] == 4
+        # keygen-tau, sign-tau, so at least one batch per group; every
+        # batch has exactly one flush reason.
+        assert counters["service.batches"] >= 4
+        assert sum(
+            counters.get(f"service.flush.{reason}", 0) for reason in ("size", "idle", "close")
+        ) == counters["service.batches"]
 
     def test_mixed_curves_split_into_separate_batches(self, fresh_registry):
         """One service, two warmed curves; responses stay byte-identical."""
@@ -345,7 +552,7 @@ class TestCryptoService:
             )
 
         k_response, t_response = _with_service(
-            scenario, curves=("T-13", "K-163"), max_lanes=16, max_delay_ms=25.0
+            scenario, curves=("T-13", "K-163"), max_lanes=16
         )
         assert k_response[0] == 200 and t_response[0] == 200
         k_reference = ecdh_shared(k163, k_privates[0], k_peers[0])
@@ -385,7 +592,7 @@ class TestCryptoService:
             })
             return await asyncio.gather(good, bad)
 
-        good_response, bad_response = _with_service(scenario, max_lanes=8, max_delay_ms=20.0)
+        good_response, bad_response = _with_service(scenario, max_lanes=8)
         assert bad_response[0] == 400
         assert "error" in bad_response[1]
         assert good_response[0] == 200
@@ -411,6 +618,10 @@ class TestCryptoService:
             cases["missing_field"] = await _post_json(
                 port, "/sign", {"curve": "T-13", "private": "5"}
             )
+            for length in ("abc", "-5"):
+                cases[f"content_length_{length}"] = await _raw_request(
+                    port, f"POST /keygen HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+                )
             cases["stats"] = await http_get("127.0.0.1", port, "/stats")
             return cases
 
@@ -424,10 +635,13 @@ class TestCryptoService:
         assert cases["bad_hex"][0] == 400
         assert cases["zero_private"][0] == 400
         assert cases["missing_field"][0] == 400
+        for length in ("abc", "-5"):
+            assert cases[f"content_length_{length}"] == (400, {"error": "bad Content-Length"})
         stats = cases["stats"][1]
         assert stats["queue_depth"] == 0
-        assert set(stats["flush_reasons"]) == {"size", "deadline", "close"}
+        assert set(stats["flush_reasons"]) == {"size", "idle", "deadline", "close"}
         assert "latency_s" in stats and "batch_fill" in stats
+        assert stats["flush_wait_s"]["count"] == stats["requests"]
         assert "execute_s" in stats and "queue_wait_s" in stats
 
     def test_loadgen_closed_loop_verifies_every_response(self):
@@ -437,7 +651,7 @@ class TestCryptoService:
                 clients=8, requests_per_client=2, seed=21, spot_checks=2,
             )
 
-        result = _with_service(scenario, max_lanes=16, max_delay_ms=5.0)
+        result = _with_service(scenario, max_lanes=16)
         assert result.errors == []
         assert result.completed == result.total == 16
         assert result.verified == 16
