@@ -58,7 +58,7 @@ backends against the scalar reference is asserted uniformly by
 True
 """
 
-from .base import BackendCapabilities, FieldBackend, default_method_for
+from .base import FieldBackend, default_method_for
 from .bitslice import BitsliceBackend, BitslicedNetlist, bitsliced_netlist, numpy_available
 from .engine_backend import EngineBackend
 from .native import (
@@ -96,7 +96,6 @@ from .registry import (
 )
 
 __all__ = [
-    "BackendCapabilities",
     "FieldBackend",
     "default_method_for",
     "BitsliceBackend",

@@ -24,14 +24,11 @@ Contract
   and the backend-parameterized
   :func:`repro.netlist.verify.verify_by_simulation`) asserts this
   uniformly for every registered implementation.
-* :attr:`FieldBackend.capabilities` advertises coarse performance traits
-  so callers can pick sensible defaults without knowing concrete classes.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Sequence
 
 from ..galois.pentanomials import type_ii_parameters
@@ -41,7 +38,7 @@ from .ir import InterpretingIRExecutor
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..galois.field import GF2mField
 
-__all__ = ["BackendCapabilities", "FieldBackend", "default_method_for"]
+__all__ = ["FieldBackend", "default_method_for", "product_tree_inverse_batch"]
 
 
 def default_method_for(modulus: int) -> str:
@@ -55,45 +52,19 @@ def default_method_for(modulus: int) -> str:
     return "thiswork" if type_ii_parameters(modulus) is not None else "schoolbook"
 
 
-@dataclass(frozen=True)
-class BackendCapabilities:
-    """Coarse performance traits a backend advertises to callers.
-
-    Attributes
-    ----------
-    vectorized:
-        Whether one evaluation step processes many operand pairs at once
-        (bit-packed planes); scalar backends pay per-pair cost instead.
-    compiled:
-        Whether the backend pays a one-time circuit generation/compilation
-        cost that the caches amortize across calls.
-    min_efficient_batch:
-        The batch size from which the backend typically overtakes the
-        scalar reference; below it the ``python`` backend usually wins.
-    """
-
-    vectorized: bool
-    compiled: bool
-    min_efficient_batch: int
-
-
 class FieldBackend(ABC):
     """One execution substrate for the batch arithmetic of a single field.
 
-    Subclasses set :attr:`name` and :attr:`capabilities` and implement the
-    abstract methods.  Instances are cheap handles — expensive state
-    (generated circuits, compiled evaluators, plane buffers) is built
-    lazily and shared through the module-level caches, and the registry
+    Subclasses set :attr:`name` and implement the abstract methods.
+    Instances are cheap handles — expensive state (generated circuits,
+    compiled evaluators, plane buffers) is built lazily and shared through
+    the module-level caches, and the registry
     (:mod:`repro.backends.registry`) caches backend instances per
     ``(name, modulus, options)`` so repeated resolution costs nothing.
     """
 
     #: Short registry identifier (``"python"``, ``"engine"``, ``"bitslice"``).
     name: str = "abstract"
-    #: Performance traits; overridden per subclass.
-    capabilities: BackendCapabilities = BackendCapabilities(
-        vectorized=False, compiled=False, min_efficient_batch=1
-    )
 
     def __init__(self, field: "GF2mField") -> None:
         self.field = field
@@ -177,3 +148,48 @@ class FieldBackend(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(GF(2^{self.field.m}))"
+
+
+def product_tree_inverse_batch(self: FieldBackend, values: Sequence[int]) -> List[int]:
+    """Simultaneous inversion via a product tree of batched multiplies.
+
+    The lane-parallel backends (bitslice, native) bind this as their
+    ``inverse_batch``.  The base-class Montgomery chain is a strictly
+    sequential walk of ``3(len - 1)`` scalar reference multiplies; a
+    product tree has the same multiplication count but only
+    ``2·log2(len)`` *levels*, and every level is one :meth:`multiply_batch`
+    call: pair the values upward to the root product, invert the root once
+    with the scalar reference, then walk back down handing each node's
+    inverse to its two children (``inv_left = inv_parent · right`` and
+    symmetrically).  Exact arithmetic, so the results stay byte-identical
+    to the chain; batches under 16 keep the chain (pack/unpack overhead
+    would dominate).
+    """
+    values = list(values)
+    if 0 in values:
+        index = values.index(0)
+        raise ZeroDivisionError(f"0 has no multiplicative inverse (batch index {index})")
+    if len(values) < 16:
+        return FieldBackend.inverse_batch(self, values)
+    self._count_batch("inverse_batch", len(values))
+    levels = [values]
+    while len(levels[-1]) > 1:
+        current = levels[-1]
+        half = len(current) // 2
+        products = self.multiply_batch(current[0:2 * half:2], current[1:2 * half:2])
+        if len(current) % 2:
+            products.append(current[-1])
+        levels.append(products)
+    inverses = [self.field.inverse(levels[-1][0])]
+    for level in reversed(levels[:-1]):
+        half = len(level) // 2
+        left_factors: List[int] = []
+        right_factors: List[int] = []
+        for i in range(half):
+            left_factors.extend((inverses[i], inverses[i]))
+            right_factors.extend((level[2 * i + 1], level[2 * i]))
+        children = self.multiply_batch(left_factors, right_factors)
+        if len(level) % 2:
+            children.append(inverses[half])
+        inverses = children
+    return inverses

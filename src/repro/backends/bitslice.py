@@ -7,17 +7,15 @@ trades that for numpy: every netlist node owns one row of a
 the node's value for operand pair ``p`` — 64 batch lanes per machine word,
 ``lane_words`` words per numpy op.
 
-Evaluating gate-by-gate would drown in numpy dispatch overhead (~0.5 µs per
-call versus ~30 ns of actual 32-word work), so the circuit is compiled to
-**level segments**: live nodes are renumbered densely in
-``(logic level, op)`` order, making every run of same-op gates in one level
-a *contiguous slice* of the value array.  One segment then evaluates as two
-``np.take`` fanin gathers (into reused scratch) and a single vectorized
-``bitwise_and`` / ``bitwise_xor`` writing straight into the output slice —
-and a segment recognized as the full ``a_i x b_j`` partial-product plane
-skips the gathers entirely, evaluating as one broadcast outer product of
-the input plane arrays.  A 55k-gate GF(2^163) multiplier collapses to ~45
-numpy calls per chunk.
+The circuit is compiled to **level segments** by the substrate's one
+segment compiler, :class:`~repro.backends.planes.LevelSegments`: every run
+of same-op gates in one logic level is a contiguous slice of the value
+array and evaluates as two ``np.take`` fanin gathers plus one vectorized
+``bitwise_and`` / ``bitwise_xor``.  On top of that this module adds only
+the multiplier's own structure: the ``a``/``b`` input scatter, and the full
+``a_i x b_j`` partial-product plane, which skips the gathers and evaluates
+as one broadcast outer product of the input plane arrays.  A 55k-gate
+GF(2^163) multiplier collapses to ~45 numpy calls per chunk.
 
 Packing reuses the word-level bit-matrix transposes of
 :mod:`repro.engine.bitpack` (rows → plane big-ints) with a zero-copy
@@ -34,23 +32,22 @@ requested.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..engine.bitpack import pack_rows, unpack_planes
-from ..netlist.netlist import OP_AND, OP_XOR
+from ..engine.engine import NetlistMultiplier
+from ..netlist.netlist import OP_AND
 from ..pipeline.store import LRUCache
-from .base import BackendCapabilities, FieldBackend, default_method_for
+from .base import FieldBackend, default_method_for, product_tree_inverse_batch
+from .ir import lane_words_for
 from .planes import (
+    LevelSegments,
     PlaneIRExecutor,
-    _LaneBufferCache,
+    _np,
     _planes_to_array,
-    lane_words_for,
+    _require_numpy,
+    numpy_available,
 )
-
-try:  # pragma: no cover - exercised via monkeypatching in the tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..galois.field import GF2mField
@@ -62,166 +59,57 @@ __all__ = ["BitslicedNetlist", "BitsliceBackend", "bitsliced_netlist", "numpy_av
 DEFAULT_LANES = 4096
 
 
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency is importable."""
-    return _np is not None
-
-
-def _require_numpy():
-    if _np is None:
-        raise ImportError(
-            "the bitslice backend needs numpy, which is not installed; "
-            "run 'pip install numpy' (or install the gf2m-repro[bitslice] extra), "
-            "or select the 'engine' or 'python' backend instead"
-        )
-    return _np
-
-
-class BitslicedNetlist:
+class BitslicedNetlist(NetlistMultiplier):
     """A multiplier netlist compiled for level-segmented numpy evaluation.
 
     Follows the standard multiplier I/O convention (inputs ``a<i>``/``b<j>``,
     outputs ``c0..c(m-1)``) and raises ``ValueError`` for netlists outside
-    it, mirroring :class:`repro.engine.engine.Engine`.  Value buffers are
-    cached per lane width, so repeated batches of the same chunk size reuse
-    their memory.
+    it, through the wiring and chunked batch loop it shares with
+    :class:`repro.engine.engine.Engine`.  The gates are lowered by
+    :class:`~repro.backends.planes.LevelSegments`; value buffers are cached
+    per lane width, so repeated batches of the same chunk size reuse their
+    memory.
     """
 
     def __init__(self, netlist: Netlist, m: int, chunk_size: int = DEFAULT_LANES) -> None:
         np = _require_numpy()
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        self.m = m
-        self.chunk_size = chunk_size
+        self._wire(netlist, m, chunk_size)
         self.name = netlist.name
 
-        live = netlist.live_nodes()
-        level: Dict[int, int] = {}
-        for node in live:
-            if netlist.op(node) in (OP_AND, OP_XOR):
-                fanin0, fanin1 = netlist.fanins(node)
-                level[node] = 1 + max(level.get(fanin0, 0), level.get(fanin1, 0))
-            else:
-                level[node] = 0
         # Raster rank of input-fed AND gates: a partial-product plane whose
         # gates cover the full a_i x b_j grid evaluates as ONE broadcast
-        # outer product instead of two 26k-row gathers — detected per
-        # segment below, enabled by ordering those gates in (i, j) raster.
-        input_bit: Dict[int, Tuple[str, int]] = {}
-        for input_name in netlist.inputs:
-            operand, digits = input_name[:1], input_name[1:]
-            if operand in ("a", "b") and digits.isdigit():
-                input_bit[netlist.input_node(input_name)] = (operand, int(digits))
+        # outer product instead of two 26k-row gathers.  Ordering those
+        # gates in (i, j) raster inside their segment makes the plane one
+        # contiguous (m, m) block of rows.
+        input_bit = {
+            netlist.input_node(name): source
+            for name, source in zip(netlist.inputs, self.input_sources)
+        }
         raster: Dict[int, int] = {}
-        for node in live:
+        for node in netlist.live_nodes():
             if netlist.op(node) != OP_AND:
                 continue
-            pair = {}
-            for fanin in netlist.fanins(node):
-                operand_bit = input_bit.get(fanin)
-                if operand_bit is not None:
-                    pair[operand_bit[0]] = operand_bit[1]
-            if len(pair) == 2 and pair["a"] < m and pair["b"] < m:
-                raster[node] = pair["a"] * m + pair["b"]
-
-        # Dense renumbering in (level, op, raster/node) order: every same-op
-        # run of one level becomes a contiguous row range of the value
-        # array, with raster-eligible AND planes in (i, j) order.
-        ordered = sorted(
-            live,
-            key=lambda node: (
-                level[node],
-                netlist.op(node) == OP_AND,
-                (0, raster[node]) if node in raster else (1, node),
-            ),
+            pair = dict(input_bit[fanin] for fanin in netlist.fanins(node) if fanin in input_bit)
+            if len(pair) == 2:
+                raster[node] = pair[0] * m + pair[1]
+        self._segments = segments = LevelSegments(
+            netlist, key=lambda node: (0, raster[node]) if node in raster else (1, node)
         )
-        renumber = {node: index for index, node in enumerate(ordered)}
-        self.node_count = len(ordered)
-        self.level_count = (max(level.values()) + 1) if level else 0
+        self._outer: Optional[slice] = None
+        if len(raster) == m * m:
+            raster_rows = segments.rows[list(raster)]
+            start = int(raster_rows.min())
+            in_raster_order = (raster_rows - start == list(raster.values())).all()
+            if in_raster_order and segments.detach(start, start + m * m):
+                self._outer = slice(start, start + m * m)
 
-        segments: List[List] = []  # [start, end, fanin0s, fanin1s, is_and, ranks]
-        current_key: Optional[Tuple[int, int]] = None
-        self.and_count = 0
-        self.xor_count = 0
-        for node in ordered:
-            op = netlist.op(node)
-            if op not in (OP_AND, OP_XOR):
-                continue
-            if op == OP_AND:
-                self.and_count += 1
-            else:
-                self.xor_count += 1
-            key = (level[node], op)
-            if key != current_key:
-                segments.append([renumber[node], renumber[node], [], [], op == OP_AND, []])
-                current_key = key
-            segment = segments[-1]
-            fanin0, fanin1 = netlist.fanins(node)
-            segment[1] = renumber[node] + 1
-            segment[2].append(renumber[fanin0])
-            segment[3].append(renumber[fanin1])
-            segment[5].append(raster.get(node))
-        # An AND segment that is exactly the full m x m raster (in order, by
-        # the renumbering above) evaluates as one broadcast outer product.
-        self._segments = [
-            (
-                start,
-                end,
-                np.asarray(f0, dtype=np.intp),
-                np.asarray(f1, dtype=np.intp),
-                is_and,
-                is_and and end - start == m * m and ranks == list(range(m * m)),
-            )
-            for start, end, f0, f1, is_and, ranks in segments
-        ]
-        self._max_gather = max(
-            (end - start for start, end, _, _, _, is_outer in self._segments if not is_outer),
-            default=0,
-        )
-
-        self._input_rows: List[Tuple[int, int, int]] = []  # (dense row, operand, bit)
-        for input_name in netlist.inputs:
-            operand, digits = input_name[:1], input_name[1:]
-            if operand not in ("a", "b") or not digits.isdigit() or int(digits) >= m:
-                raise ValueError(
-                    f"input {input_name!r} does not follow the a<i>/b<j> convention for m={m}"
-                )
-            node = netlist.input_node(input_name)
-            if node in renumber:  # dead inputs never reach an output
-                self._input_rows.append((renumber[node], 0 if operand == "a" else 1, int(digits)))
-        position = {output_name: renumber[node] for output_name, node in netlist.outputs}
-        self._output_rows: List[int] = []
-        for k in range(m):
-            row = position.get(f"c{k}")
-            if row is None:
-                raise ValueError(f"netlist is missing output c{k}")
-            self._output_rows.append(row)
-
-        # Index arrays for the plane-resident entry point: one fancy-indexed
-        # scatter per operand replaces the per-row input writes.
-        a_live = [(row, bit) for row, operand, bit in self._input_rows if operand == 0]
-        b_live = [(row, bit) for row, operand, bit in self._input_rows if operand == 1]
-        self._a_rows = np.asarray([row for row, _ in a_live], dtype=np.intp)
-        self._a_bits = np.asarray([bit for _, bit in a_live], dtype=np.intp)
-        self._b_rows = np.asarray([row for row, _ in b_live], dtype=np.intp)
-        self._b_bits = np.asarray([bit for _, bit in b_live], dtype=np.intp)
-        self._output_row_array = np.asarray(self._output_rows, dtype=np.intp)
-
-        #: (values, gather0, gather1) buffers, thread-local and keyed by lane
-        #: words (:class:`~repro.backends.planes._LaneBufferCache`): backend
-        #: instances are shared process-wide through the registry cache, so
-        #: concurrent batches must never write into the same array.  Const-0
-        #: rows stay zero because only gate rows (segments) and input rows
-        #: are ever written; the gather scratch lets segments run through
-        #: ``np.take(..., out=...)`` — measurably faster than fancy indexing
-        #: and allocation-free on the hot path.
-        self._buffers = _LaneBufferCache(
-            lambda lane_words: (
-                np.zeros((self.node_count, lane_words), dtype=np.uint64),
-                np.empty((self._max_gather, lane_words), dtype=np.uint64),
-                np.empty((self._max_gather, lane_words), dtype=np.uint64),
-            )
-        )
+        # One fancy-indexed scatter per operand loads the input rows
+        # (input i is row i).
+        operands, bits = np.asarray(self.input_sources, dtype=np.intp).reshape(-1, 2).T
+        self._a_rows, self._b_rows = np.flatnonzero(operands == 0), np.flatnonzero(operands == 1)
+        self._a_bits, self._b_bits = bits[self._a_rows], bits[self._b_rows]
+        outputs = netlist.outputs
+        self._output_rows = segments.rows[[outputs[index][1] for index in self.output_index]]
 
     # --------------------------------------------------------------- evaluate
     def multiply_planes(self, a_planes, b_planes):
@@ -229,37 +117,32 @@ class BitslicedNetlist:
 
         The plane-resident entry point: no packing, no unpacking — inputs
         scatter into the value buffer with two fancy-indexed writes, the
-        level segments run as usual, and the output rows gather into a
-        fresh array (never aliasing the reused buffer).  Lane stacking is
-        transparent: any common ``lane_words`` width works.
+        partial-product plane (when the netlist has the full raster) is one
+        broadcast outer product, the other segments run through
+        :meth:`~repro.backends.planes.LevelSegments.evaluate`, and the
+        output rows gather into a fresh array (never aliasing the reused
+        buffer).  Lane stacking is transparent: any common ``lane_words``
+        width works.
         """
-        np = _np
-        if a_planes.shape != b_planes.shape or a_planes.shape[0] != self.m:
+        m = self.m
+        if a_planes.shape != b_planes.shape or a_planes.shape[0] != m:
             raise ValueError(
-                f"expected two ({self.m}, lane_words) plane arrays, got "
+                f"expected two ({m}, lane_words) plane arrays, got "
                 f"{a_planes.shape} and {b_planes.shape}"
             )
-        values, gather0, gather1 = self._buffers.get(a_planes.shape[1])
+        segments = self._segments
+        values = segments.buffer(a_planes.shape[1])
         values[self._a_rows] = a_planes[self._a_bits]
         values[self._b_rows] = b_planes[self._b_bits]
-        for start, end, fanin0, fanin1, is_and, is_outer in self._segments:
-            if is_outer:
-                np.bitwise_and(
-                    a_planes[:, None, :],
-                    b_planes[None, :, :],
-                    out=values[start:end].reshape(self.m, self.m, -1),
-                )
-                continue
-            count = end - start
-            np.take(values, fanin0, axis=0, out=gather0[:count], mode="clip")
-            np.take(values, fanin1, axis=0, out=gather1[:count], mode="clip")
-            if is_and:
-                np.bitwise_and(gather0[:count], gather1[:count], out=values[start:end])
-            else:
-                np.bitwise_xor(gather0[:count], gather1[:count], out=values[start:end])
-        return values[self._output_row_array]
+        if self._outer is not None:
+            _np.bitwise_and(
+                a_planes[:, None, :], b_planes[None, :, :],
+                out=values[self._outer].reshape(m, m, -1),
+            )
+        segments.evaluate(values)
+        return values[self._output_rows]
 
-    def _evaluate_chunk(self, a_chunk: Sequence[int], b_chunk: Sequence[int]) -> List[int]:
+    def _evaluate_chunk(self, a_chunk: List[int], b_chunk: List[int]) -> List[int]:
         lanes = len(a_chunk)
         lane_words = lane_words_for(lanes)
         product = self.multiply_planes(
@@ -269,39 +152,14 @@ class BitslicedNetlist:
         product_planes = [int.from_bytes(product[k].tobytes(), "little") for k in range(self.m)]
         return unpack_planes(product_planes, self.m, lanes)
 
-    def multiply_batch(
-        self,
-        a_words: Sequence[int],
-        b_words: Sequence[int],
-        chunk_size: Optional[int] = None,
-    ) -> List[int]:
-        """Products of ``a_words[i] · b_words[i]``, evaluated in plane chunks.
-
-        Only the low ``m`` bits of every operand are used, matching the
-        engine and the interpreted simulator.  An empty batch returns an
-        empty list.
-        """
-        if len(a_words) != len(b_words):
-            raise ValueError(
-                f"operand streams differ in length: {len(a_words)} vs {len(b_words)}"
-            )
-        chunk = chunk_size if chunk_size is not None else self.chunk_size
-        if chunk < 1:
-            raise ValueError("chunk_size must be at least 1")
-        mask = (1 << self.m) - 1
-        results: List[int] = []
-        for start in range(0, len(a_words), chunk):
-            a_chunk = [word & mask for word in a_words[start:start + chunk]]
-            b_chunk = [word & mask for word in b_words[start:start + chunk]]
-            results.extend(self._evaluate_chunk(a_chunk, b_chunk))
-        return results
-
     def describe(self) -> str:
         """One-line structural summary."""
+        segments = self._segments
+        count = len(segments.segments) + (self._outer is not None)
         return (
             f"bitslice[numpy] {self.name or 'netlist'} GF(2^{self.m}): "
-            f"{self.and_count} AND, {self.xor_count} XOR in {len(self._segments)} "
-            f"segments ({self.level_count} levels), {self.chunk_size} lanes/chunk"
+            f"{segments.and_count} AND, {segments.xor_count} XOR in {count} "
+            f"segments ({segments.level_count} levels), {self.chunk_size} lanes/chunk"
         )
 
 
@@ -341,9 +199,6 @@ class BitsliceBackend(FieldBackend):
     """
 
     name = "bitslice"
-    capabilities = BackendCapabilities(
-        vectorized=True, compiled=True, min_efficient_batch=64
-    )
 
     def __init__(
         self,
@@ -388,48 +243,7 @@ class BitsliceBackend(FieldBackend):
         self._count_batch("multiply_batch", len(a_values))
         return self.sliced.multiply_batch(a_values, b_values)
 
-    def inverse_batch(self, values: Sequence[int]) -> List[int]:
-        """Simultaneous inversion via a product tree of batched multiplies.
-
-        The base-class Montgomery chain is a strictly sequential walk of
-        ``3(len - 1)`` scalar reference multiplies — on this backend those
-        dominate the y-recovery of a batched ladder.  A product tree has the
-        same multiplication count but only ``2·log2(len)`` *levels*, and
-        every level is one lane-parallel :meth:`multiply_batch` call: pair
-        the values upward to the root product, invert the root once, then
-        walk back down handing each node's inverse to its two children
-        (``inv_left = inv_parent · right`` and symmetrically).  Exact
-        arithmetic, so the results stay byte-identical to the scalar chain;
-        tiny batches keep the chain (pack/unpack overhead would dominate).
-        """
-        values = list(values)
-        if 0 in values:
-            index = values.index(0)
-            raise ZeroDivisionError(f"0 has no multiplicative inverse (batch index {index})")
-        if len(values) < 16:
-            return super().inverse_batch(values)
-        self._count_batch("inverse_batch", len(values))
-        levels = [values]
-        while len(levels[-1]) > 1:
-            current = levels[-1]
-            half = len(current) // 2
-            products = self.multiply_batch(current[0:2 * half:2], current[1:2 * half:2])
-            if len(current) % 2:
-                products.append(current[-1])
-            levels.append(products)
-        inverses = [self.field.inverse(levels[-1][0])]
-        for level in reversed(levels[:-1]):
-            half = len(level) // 2
-            left_factors: List[int] = []
-            right_factors: List[int] = []
-            for i in range(half):
-                left_factors.extend((inverses[i], inverses[i]))
-                right_factors.extend((level[2 * i + 1], level[2 * i]))
-            children = self.multiply_batch(left_factors, right_factors)
-            if len(level) % 2:
-                children.append(inverses[half])
-            inverses = children
-        return inverses
+    inverse_batch = product_tree_inverse_batch
 
     def describe(self) -> str:
         return self.sliced.describe()

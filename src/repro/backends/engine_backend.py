@@ -3,7 +3,9 @@
 Wraps :mod:`repro.engine`: the multiplier circuit for ``(method, modulus)``
 is generated, formally verified and compiled to a straight-line Python
 function once (all cached process-wide), and operand batches stream through
-it in bit-packed big-integer planes.  This was the path
+it in bit-packed big-integer planes.  That compiled function is the
+engine's only evaluator, and the one
+``verify_by_simulation(backend="engine")`` checks.  This was the path
 ``GF2mField.multiply_batch`` hard-coded before the backend abstraction; the
 default-method selection it used to duplicate now lives in
 :func:`repro.backends.base.default_method_for`.
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from .base import BackendCapabilities, FieldBackend, default_method_for
+from .base import FieldBackend, default_method_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.engine import Engine
@@ -32,9 +34,6 @@ class EngineBackend(FieldBackend):
     method:
         Multiplier construction; defaults to the paper's ``thiswork``
         circuit for type II pentanomials and ``schoolbook`` otherwise.
-    mode:
-        Netlist compilation mode (``"exec"`` or ``"arrays"``, see
-        :func:`repro.engine.compiler.compile_netlist`).
     chunk_size:
         Operand pairs per compiled call; ``None`` keeps the engine default.
     verify:
@@ -46,19 +45,16 @@ class EngineBackend(FieldBackend):
     """
 
     name = "engine"
-    capabilities = BackendCapabilities(vectorized=True, compiled=True, min_efficient_batch=32)
 
     def __init__(
         self,
         field: "GF2mField",
         method: Optional[str] = None,
-        mode: str = "exec",
         chunk_size: Optional[int] = None,
         verify: bool = True,
     ) -> None:
         super().__init__(field)
         self.method = method if method is not None else default_method_for(field.modulus)
-        self.mode = mode
         self.chunk_size = chunk_size
         self.verify = verify
         self._engine: Optional["Engine"] = None
@@ -69,9 +65,7 @@ class EngineBackend(FieldBackend):
         if self._engine is None:
             from ..engine.engine import engine_for
 
-            self._engine = engine_for(
-                self.method, self.field.modulus, mode=self.mode, verify=self.verify
-            )
+            self._engine = engine_for(self.method, self.field.modulus, verify=self.verify)
         return self._engine
 
     def multiply(self, a: int, b: int) -> int:

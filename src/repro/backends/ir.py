@@ -68,6 +68,8 @@ __all__ = [
     "cached_program",
     "execute_program",
     "InterpretingIRExecutor",
+    "lane_words_for",
+    "pack_lane_bits",
     "run_chunked",
     "run_program",
 ]
@@ -725,6 +727,24 @@ class InterpretedProgram:
 
 
 # --------------------------------------------------------------------- driver
+def lane_words_for(lanes: int) -> int:
+    """uint64 words per lane stripe for a batch of ``lanes`` elements (min 1)."""
+    return max(1, (lanes + 63) // 64)
+
+
+def pack_lane_bits(bits: Sequence[int]) -> bytes:
+    """One control bit per lane as little-endian ``lane_words_for`` words.
+
+    Bit ``p`` of the result is ``bits[p] & 1``; dead lanes stay zero.  The
+    shared body of the compiled executors' ``broadcast_bits``.
+    """
+    packed = 0
+    for position, bit in enumerate(bits):
+        if bit & 1:
+            packed |= 1 << position
+    return packed.to_bytes(lane_words_for(len(bits)) * 8, "little")
+
+
 def run_chunked(
     executor,
     state: Sequence[Sequence[int]],

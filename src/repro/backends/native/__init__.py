@@ -34,8 +34,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ...telemetry import metrics as _metrics
 from ...telemetry import trace as _trace
-from ..base import BackendCapabilities, FieldBackend
-from ..ir import K_LINEAR, K_MUL, K_XOR, FieldProgram
+from ..base import FieldBackend, product_tree_inverse_batch
+from ..ir import K_LINEAR, K_MUL, K_XOR, FieldProgram, lane_words_for, pack_lane_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...galois.field import GF2mField
@@ -89,17 +89,10 @@ def native_available() -> bool:
     return True
 
 
-def _lane_words_for(lanes: int) -> int:
-    return max(1, (lanes + 63) // 64)
-
-
 class NativeBackend(FieldBackend):
     """Word-level C arithmetic for one field through the cffi kernel."""
 
     name = "native"
-    capabilities = BackendCapabilities(
-        vectorized=True, compiled=True, min_efficient_batch=8
-    )
 
     def __init__(
         self,
@@ -177,44 +170,7 @@ class NativeBackend(FieldBackend):
         )
         return self._unpack(out, count)
 
-    def inverse_batch(self, values: Sequence[int]) -> List[int]:
-        """Simultaneous inversion via a product tree of batched multiplies.
-
-        Same shape as the bitslice backend's tree: pair the values upward
-        to the root product in ``log2(len)`` :meth:`multiply_batch` levels,
-        invert the root once with the scalar reference, then walk back down
-        handing each node's inverse to its two children.  Exact arithmetic,
-        so results stay byte-identical to the sequential Montgomery chain;
-        tiny batches keep the chain.
-        """
-        values = list(values)
-        if 0 in values:
-            index = values.index(0)
-            raise ZeroDivisionError(f"0 has no multiplicative inverse (batch index {index})")
-        if len(values) < 16:
-            return super().inverse_batch(values)
-        self._count_batch("inverse_batch", len(values))
-        levels = [values]
-        while len(levels[-1]) > 1:
-            current = levels[-1]
-            half = len(current) // 2
-            products = self.multiply_batch(current[0:2 * half:2], current[1:2 * half:2])
-            if len(current) % 2:
-                products.append(current[-1])
-            levels.append(products)
-        inverses = [self.field.inverse(levels[-1][0])]
-        for level in reversed(levels[:-1]):
-            half = len(level) // 2
-            left_factors: List[int] = []
-            right_factors: List[int] = []
-            for i in range(half):
-                left_factors.extend((inverses[i], inverses[i]))
-                right_factors.extend((level[2 * i + 1], level[2 * i]))
-            children = self.multiply_batch(left_factors, right_factors)
-            if len(level) % 2:
-                children.append(inverses[half])
-            inverses = children
-        return inverses
+    inverse_batch = product_tree_inverse_batch
 
     # ------------------------------------------------------------- executor
     def ir_executor(self) -> "NativeIRExecutor":
@@ -349,7 +305,7 @@ class CompiledNativeIR:
         stride_bytes = len(input_arrays[0])
         stride = stride_bytes // 8
         count = stride // nw
-        lane_words = _lane_words_for(count)
+        lane_words = lane_words_for(count)
         if len(self.mask_names) == 0:
             masks_buf = self._empty_masks
         elif len(self.mask_names) == 1:
@@ -431,11 +387,7 @@ class NativeIRExecutor:
 
         Bit ``p`` of the result is ``bits[p] & 1``; dead lanes stay zero.
         """
-        packed = 0
-        for position, bit in enumerate(bits):
-            if bit & 1:
-                packed |= 1 << position
-        return packed.to_bytes(_lane_words_for(len(bits)) * 8, "little")
+        return pack_lane_bits(bits)
 
     # ------------------------------------------------------------- programs
     def compile(self, program: FieldProgram) -> CompiledNativeIR:

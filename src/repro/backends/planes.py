@@ -16,10 +16,8 @@ Three kinds of operation cover a whole López-Dahab ladder step:
   (:meth:`repro.backends.bitslice.BitslicedNetlist.multiply_planes`), with
   several independent products lane-stacked into one netlist pass;
 * GF(2)-**linear** maps (squaring, multiplication by a fixed curve
-  constant) — a :class:`~repro.galois.field.GF2LinearMap` is lowered by
-  :class:`PlaneProgram` into level-segmented gather/XOR passes, the same
-  contiguous-slice trick :class:`~repro.backends.bitslice.BitslicedNetlist`
-  uses for the multiplier itself;
+  constant) — :class:`PlaneProgram` turns a
+  :class:`~repro.galois.field.GF2LinearMap` into XOR trees;
 * data movement — XOR of plane vectors and scalar-bit-dependent *selects*
   driven by a broadcast lane mask, so mixed control bits across one batch
   never leave the plane domain.
@@ -31,6 +29,12 @@ bitslice backend returns from
 curve ladders (:meth:`repro.curves.point.BinaryCurve.multiply_batch`)
 keep all ``~m`` steps plane-resident.
 
+Both netlists — the multiplier and every linear map's XOR trees — are
+lowered by the one segment compiler, :class:`LevelSegments`.  This module
+also holds the substrate's one numpy gate: numpy is optional, and every
+entry point raises a clear ``ImportError`` only when plane evaluation is
+requested.
+
 Compiled :class:`PlaneProgram` s are memoized process-wide (keyed by the
 map's basis images), mirroring the multiplier cache, so repeated field or
 curve constructions never re-lower a linear map.
@@ -39,13 +43,15 @@ curve constructions never re-lower a linear map.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..engine.bitpack import pack_rows, unpack_planes
+from ..engine.compiler import _levelize
+from ..netlist.netlist import OP_AND, OP_XOR, Netlist
 from ..pipeline.store import LRUCache
 from ..telemetry import metrics as _metrics
 from ..telemetry import trace as _trace
-from .ir import K_LINEAR, K_MUL, FieldProgram
+from .ir import K_LINEAR, K_MUL, FieldProgram, lane_words_for, pack_lane_bits
 
 try:  # pragma: no cover - exercised via monkeypatching in the tests
     import numpy as _np
@@ -57,25 +63,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .bitslice import BitslicedNetlist
 
 __all__ = [
+    "LevelSegments",
     "PlaneProgram",
     "PlaneIRExecutor",
     "CompiledPlaneIR",
+    "numpy_available",
     "plane_program",
 ]
+
+
+def numpy_available() -> bool:
+    """Whether the optional numpy dependency is importable."""
+    return _np is not None
 
 
 def _require_numpy():
     if _np is None:
         raise ImportError(
-            "plane-resident compute needs numpy, which is not installed; "
-            "run 'pip install numpy' (or install the gf2m-repro[bitslice] extra)"
+            "the bitslice backend needs numpy, which is not installed; "
+            "run 'pip install numpy' (or install the gf2m-repro[bitslice] extra), "
+            "or select the 'engine' or 'python' backend instead"
         )
     return _np
-
-
-def lane_words_for(lanes: int) -> int:
-    """uint64 words per plane for a batch of ``lanes`` elements (min 1)."""
-    return max(1, (lanes + 63) // 64)
 
 
 def _planes_to_array(planes: Sequence[int], lane_words: int):
@@ -93,11 +102,9 @@ def _array_to_planes(array) -> List[int]:
 class _LaneBufferCache:
     """Thread-local per-lane-width buffer pool, bounded to four widths.
 
-    Shared by :class:`PlaneProgram` and
-    :class:`~repro.backends.bitslice.BitslicedNetlist`: compiled evaluators
-    are cached process-wide and used from multiple threads, so each thread
-    gets its own buffers, keyed by lane width and evicted wholesale once
-    odd tail widths would accumulate.
+    Compiled evaluators are cached process-wide and used from multiple
+    threads, so each thread gets its own buffers, keyed by lane width and
+    evicted wholesale once odd tail widths would accumulate.
     """
 
     __slots__ = ("_factory", "_local")
@@ -119,91 +126,136 @@ class _LaneBufferCache:
         return entry
 
 
+class LevelSegments:
+    """A netlist compiled to level segments over one uint64 value array.
+
+    The one segment compiler of the numpy substrate, shared by
+    :class:`~repro.backends.bitslice.BitslicedNetlist` (the multiplier) and
+    :class:`PlaneProgram` (GF(2)-linear maps).  Every node owns one row of a
+    ``(row_count, lane_words)`` array.  Rows hold every declared input
+    first, in ``netlist.inputs`` order (live or not, so callers may load
+    input blocks as slices), then the other live nodes in
+    ``(logic level, op, key)`` order, levels from
+    :func:`repro.engine.compiler._levelize`.  Every same-op run of one level
+    is then a contiguous row range — a *segment* — and :meth:`evaluate`
+    runs it as two ``np.take`` fanin gathers into reused scratch plus one
+    vectorized ``bitwise_and``/``bitwise_xor`` into the segment's slice.
+    Evaluating gate-by-gate would drown in numpy dispatch overhead.
+
+    Input ``i`` is row ``i``; :attr:`rows` maps every node id to its row.
+    ``key`` orders the gates inside a segment (node id by default).
+    :meth:`detach` hands a segment back to a caller that computes its rows
+    itself.  Value buffers are zeroed once and thread-local per lane width;
+    the constant row stays zero because only input and gate rows are ever
+    written.
+    """
+
+    def __init__(self, netlist: Netlist, key=None) -> None:
+        np = _require_numpy()
+        level = _levelize(netlist)
+        inputs = [netlist.input_node(name) for name in netlist.inputs]
+        input_set = set(inputs)
+        gates = sorted(
+            (node for node in level if node not in input_set),
+            key=lambda node: (
+                level[node], netlist.op(node) == OP_AND, node if key is None else key(node)
+            ),
+        )
+        ordered = inputs + gates
+        rows = [-1] * netlist.node_count
+        for row, node in enumerate(ordered):
+            rows[node] = row
+        #: Row of every node id (-1 for nodes outside the live cone).
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.row_count = len(ordered)
+        self.level_count = (max(level.values()) + 1) if level else 0
+        self.and_count = self.xor_count = 0
+        segments: List[List] = []  # [start, end, fanin0 rows, fanin1 rows, op]
+        current = None
+        for row, node in enumerate(ordered):
+            op = netlist.op(node)
+            if op not in (OP_AND, OP_XOR):
+                continue
+            if op == OP_AND:
+                self.and_count += 1
+            else:
+                self.xor_count += 1
+            if (level[node], op) != current:
+                current = (level[node], op)
+                ufunc = np.bitwise_and if op == OP_AND else np.bitwise_xor
+                segments.append([row, row, [], [], ufunc])
+            fanin0, fanin1 = netlist.fanins(node)
+            segments[-1][1] = row + 1
+            segments[-1][2].append(rows[fanin0])
+            segments[-1][3].append(rows[fanin1])
+        self.segments = [
+            (start, end, np.asarray(f0, dtype=np.intp), np.asarray(f1, dtype=np.intp), ufunc)
+            for start, end, f0, f1, ufunc in segments
+        ]
+        # Gather scratch lets segments run through np.take(..., out=...):
+        # measurably faster than fancy indexing and allocation-free.
+        self._buffers = _LaneBufferCache(self._allocate)
+
+    def detach(self, start: int, end: int) -> bool:
+        """Drop the segment spanning rows ``[start, end)``, if there is one.
+
+        :meth:`evaluate` then leaves those rows to the caller, who must
+        fill them from input rows only (they sit at level 1).
+        """
+        for index, segment in enumerate(self.segments):
+            if segment[0] == start and segment[1] == end:
+                del self.segments[index]
+                return True
+        return False
+
+    def _allocate(self, lane_words: int):
+        widest = max((end - start for start, end, *_ in self.segments), default=0)
+        return (
+            _np.zeros((self.row_count, lane_words), dtype=_np.uint64),
+            _np.empty((widest, lane_words), dtype=_np.uint64),
+            _np.empty((widest, lane_words), dtype=_np.uint64),
+        )
+
+    def buffer(self, lane_words: int):
+        """This thread's value array for ``lane_words``-wide rows (reused)."""
+        return self._buffers.get(lane_words)[0]
+
+    def evaluate(self, values) -> None:
+        """Run every segment in place over a :meth:`buffer` with inputs loaded."""
+        np = _np
+        _, gather0, gather1 = self._buffers.get(values.shape[1])
+        for start, end, fanin0, fanin1, ufunc in self.segments:
+            count = end - start
+            np.take(values, fanin0, axis=0, out=gather0[:count], mode="clip")
+            np.take(values, fanin1, axis=0, out=gather1[:count], mode="clip")
+            ufunc(gather0[:count], gather1[:count], out=values[start:end])
+
+
 class PlaneProgram:
     """A GF(2)-linear map compiled to level-segmented plane gather/XOR passes.
 
     The map sends basis vector ``y^i`` to ``masks[i]``; on plane arrays that
     means output row ``j`` is the XOR of every input row ``i`` whose mask has
-    bit ``j`` set.  Each output's XOR tree is balanced, all tree gates are
-    renumbered densely in level order (the contiguous-slice trick of
-    :class:`~repro.backends.bitslice.BitslicedNetlist`), and one level then
-    evaluates as two fancy-indexed gathers plus a single vectorized
-    ``bitwise_xor`` into the output slice.  Outputs that copy a single input
-    row or are identically zero cost nothing beyond the final output gather.
-
-    Work buffers are thread-local per lane width, so cached programs shared
-    across threads never corrupt each other.
+    bit ``j`` set.  Each output becomes a balanced XOR tree in a
+    :class:`~repro.netlist.netlist.Netlist` (structural hashing shares
+    common subtrees), lowered by :class:`LevelSegments`.  Outputs that copy
+    a single input row or are identically zero cost nothing beyond the
+    final output gather.
     """
 
     def __init__(self, masks: Sequence[int], out_bits: Optional[int] = None) -> None:
-        np = _require_numpy()
         self.input_bits = len(masks)
         self.out_bits = self.input_bits if out_bits is None else out_bits
         if any(mask >> self.out_bits for mask in masks):
             raise ValueError(f"a basis image exceeds the {self.out_bits}-bit output space")
-
-        # refs are (row-kind, index, level): inputs at level 0, gates above.
-        gates: List[Tuple[int, Tuple, Tuple]] = []  # (level, fanin_ref, fanin_ref)
-        output_refs: List[Optional[Tuple]] = []
+        netlist = Netlist(name="plane-program")
+        inputs = [netlist.add_input(f"x{i}") for i in range(self.input_bits)]
         for j in range(self.out_bits):
-            refs = [("in", i, 0) for i in range(self.input_bits) if (masks[i] >> j) & 1]
-            if not refs:
-                output_refs.append(None)
-                continue
-            while len(refs) > 1:
-                reduced = []
-                for k in range(0, len(refs) - 1, 2):
-                    left, right = refs[k], refs[k + 1]
-                    level = 1 + max(left[2], right[2])
-                    gates.append((level, left, right))
-                    reduced.append(("gate", len(gates) - 1, level))
-                if len(refs) % 2:
-                    reduced.append(refs[-1])
-                refs = reduced
-            output_refs.append(refs[0])
-
-        # Dense renumbering: input rows first, then gates sorted by level so
-        # each level is one contiguous slice; one reserved all-zero row last.
-        order = sorted(range(len(gates)), key=lambda g: gates[g][0])
-        gate_row = {g: self.input_bits + position for position, g in enumerate(order)}
-        self.row_count = self.input_bits + len(gates) + 1
-        self._zero_row = self.row_count - 1
-
-        def row_of(ref: Optional[Tuple]) -> int:
-            if ref is None:
-                return self._zero_row
-            kind, index, _ = ref
-            return index if kind == "in" else gate_row[index]
-
-        segments: List[List] = []  # [start, end, fanin0 rows, fanin1 rows]
-        current_level = None
-        for g in order:
-            level, left, right = gates[g]
-            if level != current_level:
-                segments.append([gate_row[g], gate_row[g], [], []])
-                current_level = level
-            segment = segments[-1]
-            segment[1] = gate_row[g] + 1
-            segment[2].append(row_of(left))
-            segment[3].append(row_of(right))
-        self._segments = [
-            (start, end, np.asarray(f0, dtype=np.intp), np.asarray(f1, dtype=np.intp))
-            for start, end, f0, f1 in segments
-        ]
-        self._output_rows = np.asarray([row_of(ref) for ref in output_refs], dtype=np.intp)
-        self.xor_count = len(gates)
-        self.level_count = len(self._segments)
-        max_gather = max((end - start for start, end, _, _ in self._segments), default=0)
-        # Work buffer zero-initialized so the reserved zero row stays zero
-        # (inputs and gate slices are fully overwritten on every apply, the
-        # zero row never); gather scratch for allocation-free np.take.
-        self._buffers = _LaneBufferCache(
-            lambda lane_words: (
-                _np.zeros((self.row_count, lane_words), dtype=_np.uint64),
-                _np.empty((max_gather, lane_words), dtype=_np.uint64),
-                _np.empty((max_gather, lane_words), dtype=_np.uint64),
-            )
-        )
+            terms = [node for node, mask in zip(inputs, masks) if (mask >> j) & 1]
+            netlist.add_output(f"y{j}", netlist.xor_reduce(terms))
+        self._segments = LevelSegments(netlist)
+        self._output_rows = self._segments.rows[[node for _, node in netlist.outputs]]
+        self.xor_count = self._segments.xor_count
 
     def apply(self, planes):
         """Apply the map to an ``(input_bits, lane_words)`` plane array.
@@ -222,12 +274,11 @@ class PlaneProgram:
 
         The fused-IR executor keeps each register as its own ``(m,
         lane_words)`` array; a multi-input program writes the blocks
-        straight into consecutive work-buffer slices, so no concatenated
-        temporary is ever allocated on the hot path.  The blocks' row
-        counts must sum to :attr:`input_bits`.
+        straight into consecutive input rows of the work buffer, so no
+        concatenated temporary is ever allocated on the hot path.  The
+        blocks' row counts must sum to :attr:`input_bits`.
         """
-        np = _np
-        work, gather0, gather1 = self._buffers.get(parts[0].shape[1])
+        work = self._segments.buffer(parts[0].shape[1])
         offset = 0
         for part in parts:
             rows = part.shape[0]
@@ -235,18 +286,14 @@ class PlaneProgram:
             offset += rows
         if offset != self.input_bits:
             raise ValueError(f"expected {self.input_bits} input planes, got {offset}")
-        for start, end, fanin0, fanin1 in self._segments:
-            count = end - start
-            np.take(work, fanin0, axis=0, out=gather0[:count], mode="clip")
-            np.take(work, fanin1, axis=0, out=gather1[:count], mode="clip")
-            np.bitwise_xor(gather0[:count], gather1[:count], out=work[start:end])
+        self._segments.evaluate(work)
         return work[self._output_rows]
 
     def describe(self) -> str:
         """One-line structural summary."""
         return (
             f"plane program {self.input_bits}->{self.out_bits} bits: "
-            f"{self.xor_count} XOR in {self.level_count} levels"
+            f"{self.xor_count} XOR in {len(self._segments.segments)} levels"
         )
 
 
@@ -428,12 +475,7 @@ class PlaneIRExecutor:
         The returned ``(lane_words,)`` array broadcasts over the ``m`` rows
         of a plane array, driving a whole select pass with one mask.
         """
-        packed = 0
-        for position, bit in enumerate(bits):
-            if bit & 1:
-                packed |= 1 << position
-        lane_words = lane_words_for(len(bits))
-        return _np.frombuffer(packed.to_bytes(lane_words * 8, "little"), dtype="<u8")
+        return _np.frombuffer(pack_lane_bits(bits), dtype="<u8")
 
     def _live_lane_words(self, lane_words: int):
         """An all-live lane mask of ``lane_words`` words (consts prologue)."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..galois.gf2poly import clmul, poly_mod
-from .base import BackendCapabilities, FieldBackend
+from .base import FieldBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..galois.field import GF2mField
@@ -33,7 +33,6 @@ class PythonIntBackend(FieldBackend):
     """
 
     name = "python"
-    capabilities = BackendCapabilities(vectorized=False, compiled=False, min_efficient_batch=1)
 
     def __init__(self, field: "GF2mField", method: Optional[str] = None) -> None:
         super().__init__(field)

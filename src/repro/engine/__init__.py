@@ -9,10 +9,11 @@ Layers, bottom up:
 
 * :mod:`repro.engine.bitpack` — word-level bit-matrix transposition between
   operand row words and per-input-bit plane words;
-* :mod:`repro.engine.compiler` — levelization of a netlist into flat
-  op/fanin schedules and generated straight-line Python evaluators;
+* :mod:`repro.engine.compiler` — levelization of a netlist and the
+  generated straight-line Python evaluator (the engine's one evaluator);
 * :mod:`repro.engine.engine` — the :class:`Engine` batch API
-  (``multiply_batch``) and the cached :func:`engine_for` /
+  (``multiply_batch``), the multiplier I/O wiring and chunk loop it shares
+  with the bitsliced evaluator, and the cached :func:`engine_for` /
   :func:`engine_for_netlist` factories.
 
 Multiplier caching lives in :mod:`repro.multipliers.cache` and the generic

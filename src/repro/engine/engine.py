@@ -21,7 +21,7 @@ Module-level factories cache engines so that repeated callers — the CLI,
 :meth:`repro.galois.field.GF2mField.multiply_batch`, the verification
 helpers — never recompile:
 
-* :func:`engine_for` keys on ``(method, modulus, mode)`` and obtains the
+* :func:`engine_for` keys on ``(method, modulus)`` and obtains the
   circuit through the process-wide multiplier cache;
 * :func:`engine_for_netlist` weakly keys on an existing netlist object, for
   callers that already hold a circuit (restructured variants, tests).
@@ -42,13 +42,87 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..netlist.netlist import Netlist
     from .compiler import CompiledNetlist
 
-__all__ = ["Engine", "engine_for", "engine_for_netlist"]
+__all__ = ["Engine", "NetlistMultiplier", "engine_for", "engine_for_netlist"]
 
 #: Default number of operand pairs evaluated per compiled call.
 DEFAULT_CHUNK_SIZE = 4096
 
 
-class Engine:
+class NetlistMultiplier:
+    """The multiplier I/O convention and chunked batch loop of an evaluator.
+
+    Shared by :class:`Engine` and
+    :class:`~repro.backends.bitslice.BitslicedNetlist`: :meth:`_wire`
+    checks that the netlist follows the ``a<i>``/``b<j>`` → ``c<k>``
+    convention for degree ``m`` (``ValueError`` otherwise) and records
+    ``input_sources`` (``(operand, bit)`` per declared input, operand 0 for
+    ``a``) and ``output_index`` (the position of ``c<k>`` in
+    ``netlist.outputs``).  Subclasses implement :meth:`_evaluate_chunk`
+    over masked operand lists of at most ``chunk_size`` pairs.  Only the
+    low ``m`` bits of every operand are used, matching the interpreted
+    simulator's semantics.
+    """
+
+    m: int
+    chunk_size: int
+
+    def _wire(self, netlist: Netlist, m: int, chunk_size: int) -> None:
+        if chunk_size < 1:
+            raise ValueError("chunk_size must be at least 1")
+        self.m = m
+        self.chunk_size = chunk_size
+        self.input_sources: List[Tuple[int, int]] = []
+        for name in netlist.inputs:
+            operand, digits = name[:1], name[1:]
+            if operand not in ("a", "b") or not digits.isdigit() or int(digits) >= m:
+                raise ValueError(
+                    f"input {name!r} does not follow the a<i>/b<j> convention for m={m}"
+                )
+            self.input_sources.append((0 if operand == "a" else 1, int(digits)))
+        position = {name: index for index, (name, _) in enumerate(netlist.outputs)}
+        self.output_index: List[int] = []
+        for k in range(m):
+            index = position.get(f"c{k}")
+            if index is None:
+                raise ValueError(f"netlist is missing output c{k}")
+            self.output_index.append(index)
+
+    def _evaluate_chunk(self, a_chunk: List[int], b_chunk: List[int]) -> List[int]:
+        raise NotImplementedError
+
+    def multiply(self, a: int, b: int) -> int:
+        """Multiply a single pair of field elements through the circuit."""
+        return self.multiply_batch([a], [b])[0]
+
+    def multiply_batch(
+        self,
+        a_words: Sequence[int],
+        b_words: Sequence[int],
+        chunk_size: Optional[int] = None,
+    ) -> List[int]:
+        """Products of ``a_words[i] · b_words[i]`` for every ``i``, in order.
+
+        The streams may be arbitrarily long; they are processed in chunks of
+        ``chunk_size`` pairs (default: the evaluator's configured chunk
+        size).  An empty batch returns an empty list.
+        """
+        if len(a_words) != len(b_words):
+            raise ValueError(
+                f"operand streams differ in length: {len(a_words)} vs {len(b_words)}"
+            )
+        chunk = chunk_size if chunk_size is not None else self.chunk_size
+        if chunk < 1:
+            raise ValueError("chunk_size must be at least 1")
+        mask = (1 << self.m) - 1
+        results: List[int] = []
+        for start in range(0, len(a_words), chunk):
+            a_chunk = [word & mask for word in a_words[start:start + chunk]]
+            b_chunk = [word & mask for word in b_words[start:start + chunk]]
+            results.extend(self._evaluate_chunk(a_chunk, b_chunk))
+        return results
+
+
+class Engine(NetlistMultiplier):
     """Compiled batch-multiplication engine for one multiplier circuit.
 
     Parameters
@@ -59,15 +133,9 @@ class Engine:
     netlist, m:
         A raw multiplier netlist following the ``a<i>``/``b<j>`` → ``c<k>``
         I/O convention, and its field degree.
-    mode:
-        ``"exec"`` (generated straight-line function, fastest) or
-        ``"arrays"`` (flat schedule, no codegen; instant construction).
     chunk_size:
         Operand pairs per compiled call.  Larger chunks amortize per-call
         overhead against bigger intermediate words; 4096 is a good default.
-
-    Only the low ``m`` bits of every operand are used, matching the
-    interpreted simulator's semantics.
     """
 
     def __init__(
@@ -76,7 +144,6 @@ class Engine:
         *,
         netlist: Optional[Netlist] = None,
         m: Optional[int] = None,
-        mode: str = "exec",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
         if multiplier is not None:
@@ -91,121 +158,54 @@ class Engine:
                 raise ValueError("an Engine needs a multiplier or a netlist with its degree m")
             self.method = netlist.attributes.get("method")
             self.modulus = netlist.attributes.get("modulus")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        self.m = m
-        self.chunk_size = chunk_size
-        self.compiled: CompiledNetlist = compile_netlist(netlist, mode=mode)
-        self._input_sources = self._map_inputs(self.compiled.input_names, m)
-        self._output_order = self._map_outputs(self.compiled.output_names, m)
+        self._wire(netlist, m, chunk_size)
+        self.compiled: CompiledNetlist = compile_netlist(netlist)
 
-    # ------------------------------------------------------------- I/O wiring
-    @staticmethod
-    def _map_inputs(input_names: Sequence[str], m: int) -> List[Tuple[int, int]]:
-        sources = []
-        for name in input_names:
-            operand, digits = name[:1], name[1:]
-            if operand not in ("a", "b") or not digits.isdigit() or int(digits) >= m:
-                raise ValueError(
-                    f"input {name!r} does not follow the a<i>/b<j> convention for m={m}"
-                )
-            sources.append((0 if operand == "a" else 1, int(digits)))
-        return sources
-
-    @staticmethod
-    def _map_outputs(output_names: Sequence[str], m: int) -> List[int]:
-        position = {name: index for index, name in enumerate(output_names)}
-        order = []
-        for k in range(m):
-            index = position.get(f"c{k}")
-            if index is None:
-                raise ValueError(f"netlist is missing output c{k}")
-            order.append(index)
-        return order
-
-    @property
-    def mode(self) -> str:
-        """The compilation mode of the underlying evaluator."""
-        return self.compiled.mode
-
-    # --------------------------------------------------------------- multiply
-    def multiply(self, a: int, b: int) -> int:
-        """Multiply a single pair of field elements through the compiled circuit."""
-        return self.multiply_batch([a], [b])[0]
-
-    def multiply_batch(
-        self,
-        a_words: Sequence[int],
-        b_words: Sequence[int],
-        chunk_size: Optional[int] = None,
-    ) -> List[int]:
-        """Products of ``a_words[i] · b_words[i]`` for every ``i``, in order.
-
-        The streams may be arbitrarily long; they are processed in chunks of
-        ``chunk_size`` pairs (default: the engine's configured chunk size).
-        An empty batch returns an empty list.
-        """
-        if len(a_words) != len(b_words):
-            raise ValueError(
-                f"operand streams differ in length: {len(a_words)} vs {len(b_words)}"
-            )
-        chunk = chunk_size if chunk_size is not None else self.chunk_size
-        if chunk < 1:
-            raise ValueError("chunk_size must be at least 1")
+    def _evaluate_chunk(self, a_chunk: List[int], b_chunk: List[int]) -> List[int]:
         m = self.m
-        mask = (1 << m) - 1
-        results: List[int] = []
-        for start in range(0, len(a_words), chunk):
-            a_chunk = [word & mask for word in a_words[start:start + chunk]]
-            b_chunk = [word & mask for word in b_words[start:start + chunk]]
-            a_planes = pack_rows(a_chunk, m)
-            b_planes = pack_rows(b_chunk, m)
-            planes = (a_planes, b_planes)
-            inputs = [planes[operand][bit] for operand, bit in self._input_sources]
-            outputs = self.compiled.evaluate(inputs)
-            product_planes = [outputs[index] for index in self._output_order]
-            results.extend(unpack_planes(product_planes, m, len(a_chunk)))
-        return results
+        planes = (pack_rows(a_chunk, m), pack_rows(b_chunk, m))
+        outputs = self.compiled.evaluate(
+            [planes[operand][bit] for operand, bit in self.input_sources]
+        )
+        return unpack_planes([outputs[index] for index in self.output_index], m, len(a_chunk))
 
     def describe(self) -> str:
         """One-line summary used by the CLI."""
         compiled = self.compiled
         label = self.method or compiled.name or "netlist"
         return (
-            f"engine[{compiled.mode}] {label} GF(2^{self.m}): "
+            f"engine[exec] {label} GF(2^{self.m}): "
             f"{compiled.and_count} AND, {compiled.xor_count} XOR, "
             f"{compiled.level_count} levels, chunk {self.chunk_size}"
         )
 
 
-#: Engines keyed by (method, modulus, mode) — the hot path of `engine_for`.
+#: Engines keyed by (method, modulus) — the hot path of `engine_for`.
 _ENGINE_CACHE = LRUCache(maxsize=16, name="engine.compiled")
 
 #: Engines for caller-owned netlists, dropped when the netlist is collected.
-_NETLIST_ENGINES: "weakref.WeakKeyDictionary[Netlist, Dict[Tuple[int, str], Engine]]" = (
+_NETLIST_ENGINES: "weakref.WeakKeyDictionary[Netlist, Dict[int, Engine]]" = (
     weakref.WeakKeyDictionary()
 )
 _NETLIST_LOCK = threading.RLock()
 
 
-def engine_for(method: str, modulus: int, *, mode: str = "exec", verify: bool = True) -> Engine:
+def engine_for(method: str, modulus: int, *, verify: bool = True) -> Engine:
     """A cached :class:`Engine` for the given construction and modulus.
 
     The multiplier circuit is obtained through the process-wide
     :func:`repro.multipliers.cache.cached_multiplier`, so neither the SiTi
     splitting derivation nor the formal verification nor the compilation is
-    repeated for the same ``(method, modulus, mode)`` triple.
+    repeated for the same ``(method, modulus)`` pair.
     """
     # Resolve the multiplier before consulting the engine cache: a cached
     # engine must not short-circuit the verify upgrade a verify=True caller
     # is entitled to when the circuit was first generated unverified.
     multiplier = cached_multiplier(method, modulus, verify=verify)
-    return _ENGINE_CACHE.get_or_create(
-        (method, modulus, mode), lambda: Engine(multiplier, mode=mode)
-    )
+    return _ENGINE_CACHE.get_or_create((method, modulus), lambda: Engine(multiplier))
 
 
-def engine_for_netlist(netlist: Netlist, m: int, mode: str = "exec") -> Engine:
+def engine_for_netlist(netlist: Netlist, m: int) -> Engine:
     """A cached :class:`Engine` wrapping an existing netlist object.
 
     Entries are held weakly: once the caller drops the netlist, the engine
@@ -217,8 +217,8 @@ def engine_for_netlist(netlist: Netlist, m: int, mode: str = "exec") -> Engine:
         if per_netlist is None:
             per_netlist = {}
             _NETLIST_ENGINES[netlist] = per_netlist
-        engine = per_netlist.get((m, mode))
+        engine = per_netlist.get(m)
         if engine is None:
-            engine = Engine(netlist=netlist, m=m, mode=mode)
-            per_netlist[(m, mode)] = engine
+            engine = Engine(netlist=netlist, m=m)
+            per_netlist[m] = engine
         return engine

@@ -13,7 +13,9 @@ simple because every faster path is validated against it.  Production batch
 traffic should go through :mod:`repro.engine`, which compiles the netlist
 once and replaces the O(pairs×bits) packing loops with word-level
 transposes; the :func:`multiply_words` and :func:`multiply_with_netlist`
-conveniences below already route through a cached engine.
+conveniences below already route through a cached engine.  One-shot spot
+checks are cheaper here: the interpreter beats compile-then-evaluate on
+every first call.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def multiply_words(netlist: Netlist, m: int, a_values: Sequence[int], b_values: 
     from ..engine.engine import engine_for_netlist
 
     try:
-        engine = engine_for_netlist(netlist, m, mode="exec")
+        engine = engine_for_netlist(netlist, m)
     except ValueError:
         # Netlists outside the strict a<i>/b<j> → c<k> convention (extra
         # inputs, missing outputs) keep the tolerant interpreted semantics.
@@ -122,14 +124,8 @@ def multiply_words(netlist: Netlist, m: int, a_values: Sequence[int], b_values: 
 def multiply_with_netlist(netlist: Netlist, m: int, a: int, b: int) -> int:
     """Multiply a single pair of field elements with the netlist.
 
-    Uses the flat ``arrays`` engine (no code generation), so one-off calls
-    never pay the straight-line compilation cost while repeated calls still
-    skip the per-node dispatch of :func:`simulate`.
+    A per-pair convenience for callers that multiply repeatedly with one
+    circuit: it shares :func:`multiply_words`' cached engine, so only the
+    first call pays the compilation.
     """
-    from ..engine.engine import engine_for_netlist
-
-    try:
-        engine = engine_for_netlist(netlist, m, mode="arrays")
-    except ValueError:
-        return simulate_words(netlist, m, [a], [b])[0]
-    return engine.multiply(a, b)
+    return multiply_words(netlist, m, [a], [b])[0]

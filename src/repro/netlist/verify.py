@@ -155,50 +155,50 @@ def verify_netlist(netlist: Netlist, spec: ProductSpec) -> VerificationReport:
     )
 
 
-def _netlist_evaluator(netlist: Netlist, modulus: int, backend: str, vector_count: int):
+#: Vector count from which the compiled engine beats the interpreter on a
+#: first call (straight-line codegen costs ~1 s per 50k gates).
+_ENGINE_MIN_VECTORS = 2048
+
+
+def _netlist_evaluator(netlist: Netlist, modulus: int, backend: str):
     """The batch evaluator of the requested simulation substrate.
 
     ``backend`` mirrors the execution-backend names of
-    :mod:`repro.backends`: ``"engine"`` compiles the netlist to the
-    big-integer straight-line evaluator, ``"bitslice"`` lowers it to numpy
-    plane arrays, ``"python"`` (or ``"interpreter"``) walks it with the
-    interpreted simulator.  ``"native"`` evaluates no circuit — the C
-    word-level tier multiplies directly — so its evaluator runs the
-    netlist on the engine substrate and cross-checks the native backend's
-    word arithmetic against it on the very same vectors, keeping both the
-    circuit and the backend under one parity assertion.  Raises
+    :mod:`repro.backends`: ``"engine"`` is the cached compiled evaluator
+    that :class:`~repro.backends.engine_backend.EngineBackend` runs,
+    ``"bitslice"`` lowers the netlist to numpy plane arrays, ``"python"``
+    walks it with the interpreted simulator.  ``"native"`` evaluates no
+    circuit — the C word-level tier multiplies directly — so its evaluator
+    runs the netlist through the interpreter and cross-checks the native
+    backend's word arithmetic against it on the very same vectors, keeping
+    both the circuit and the backend under one parity assertion.  Raises
     ``KeyError`` for unknown names and whatever the substrate itself
     raises (e.g. ``ImportError`` from ``bitslice`` without numpy) — an
     explicitly requested substrate must not silently degrade, or the
     parity assertion would be meaningless.
     """
     m = degree(modulus)
+
+    def interpret(a_chunk, b_chunk):
+        return simulate_words(netlist, m, a_chunk, b_chunk)
+
     if backend == "engine":
         from ..engine.engine import engine_for_netlist
 
-        # Straight-line code generation costs ~1 s per 50k gates; it only pays
-        # off for big vector sets (exhaustive small-field sweeps).  Spot checks
-        # of large netlists use the instantly-compiled flat schedule instead.
-        mode = "exec" if vector_count >= 2048 else "arrays"
-        return engine_for_netlist(netlist, m, mode=mode).multiply_batch
+        return engine_for_netlist(netlist, m).multiply_batch
     if backend == "bitslice":
         from ..backends.bitslice import BitslicedNetlist
 
         return BitslicedNetlist(netlist, m).multiply_batch
-    if backend in ("python", "interpreter"):
-        def multiply_batch(a_chunk, b_chunk):
-            return simulate_words(netlist, m, a_chunk, b_chunk)
-
-        return multiply_batch
+    if backend == "python":
+        return interpret
     if backend == "native":
         from ..backends.native import NativeBackend
-        from ..engine.engine import engine_for_netlist
 
-        circuit = engine_for_netlist(netlist, m, mode="arrays").multiply_batch
         native = NativeBackend(GF2mField(modulus, check_irreducible=False))
 
         def multiply_batch(a_chunk, b_chunk):
-            products = circuit(a_chunk, b_chunk)
+            products = interpret(a_chunk, b_chunk)
             word_products = native.multiply_batch(a_chunk, b_chunk)
             if list(word_products) != list(products):
                 raise AssertionError(
@@ -220,7 +220,6 @@ def verify_by_simulation(
     trials: int = 256,
     seed: int = 2018,
     exhaustive_limit: int = 8,
-    use_engine: bool = True,
     backend: Optional[str] = None,
 ) -> bool:
     """Check the netlist against reference field arithmetic by simulation.
@@ -232,11 +231,11 @@ def verify_by_simulation(
     ``backend`` selects the simulation substrate (``"engine"``,
     ``"bitslice"``, ``"native"`` or ``"python"``), so parity with the
     reference scalar arithmetic is asserted uniformly for every execution
-    backend on the very same vectors.  Without it, the legacy behaviour applies: the
-    compiled engine when ``use_engine`` is true (falling back to the
-    interpreter for netlists outside the multiplier I/O convention), the
-    interpreted :func:`~repro.netlist.simulate.simulate_words` path
-    otherwise — e.g. when the engine itself is the code under test.
+    backend on the very same vectors.  Without it, the cheapest evaluator
+    for the vector count runs: the interpreted
+    :func:`~repro.netlist.simulate.simulate_words` below 2048 vectors (a
+    spot check), the compiled engine from there on — falling back to the
+    interpreter for netlists outside the multiplier I/O convention.
     """
     m = degree(modulus)
     reference = GF2mField(modulus, check_irreducible=False)
@@ -254,17 +253,16 @@ def verify_by_simulation(
         for _ in range(trials):
             a_values.append(rng.getrandbits(m))
             b_values.append(rng.getrandbits(m))
-    if backend is not None:
-        multiply_batch = _netlist_evaluator(netlist, modulus, backend, len(a_values))
-    elif use_engine:
+    if backend is None:
+        backend = "engine" if len(a_values) >= _ENGINE_MIN_VECTORS else "python"
         try:
-            multiply_batch = _netlist_evaluator(netlist, modulus, "engine", len(a_values))
+            multiply_batch = _netlist_evaluator(netlist, modulus, backend)
         except ValueError:
             # Netlists outside the multiplier I/O convention (odd input names,
             # missing outputs) still verify through the tolerant interpreter.
-            multiply_batch = _netlist_evaluator(netlist, modulus, "python", len(a_values))
+            multiply_batch = _netlist_evaluator(netlist, modulus, "python")
     else:
-        multiply_batch = _netlist_evaluator(netlist, modulus, "python", len(a_values))
+        multiply_batch = _netlist_evaluator(netlist, modulus, backend)
     batch = 4096
     for start in range(0, len(a_values), batch):
         a_chunk = a_values[start:start + batch]

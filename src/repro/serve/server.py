@@ -84,6 +84,14 @@ class _HttpError(Exception):
         self.status = status
 
 
+async def _read_line(reader: "asyncio.StreamReader") -> bytes:
+    """One request or header line; 400 when it overruns the stream limit."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's 64 KiB line limit
+        raise _HttpError(400, "request line or header too long") from None
+
+
 def _parse_int(value: "Any", name: str) -> int:
     """Accept a non-negative int or a hex string (``"1f"`` / ``"0x1f"``)."""
     if isinstance(value, bool):
@@ -336,7 +344,7 @@ class CryptoService:
     ) -> None:
         try:
             while True:
-                request_line = await reader.readline()
+                request_line = await _read_line(reader)
                 if not request_line:
                     break
                 parts = request_line.decode("latin-1").strip().split()
@@ -346,7 +354,7 @@ class CryptoService:
                 method, path, version = parts
                 headers: "Dict[str, str]" = {}
                 while True:
-                    line = await reader.readline()
+                    line = await _read_line(reader)
                     if line in (b"\r\n", b"\n", b""):
                         break
                     name, _, value = line.decode("latin-1").partition(":")
@@ -373,6 +381,9 @@ class CryptoService:
                 await self._respond(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
+        except _HttpError as error:
+            with contextlib.suppress(ConnectionError):
+                await self._respond(writer, error.status, {"error": str(error)}, False)
         except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
             pass
         finally:

@@ -14,7 +14,6 @@ import pytest
 
 from repro.backends import (
     BACKEND_ENV_VAR,
-    BackendCapabilities,
     BitslicedNetlist,
     FieldBackend,
     assert_backend_parity,
@@ -28,6 +27,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.backends import bitslice as bitslice_module
+from repro.backends import planes as planes_module
 from repro.curves import curve_by_name, ecdh_batch, keygen_batch
 from repro.galois.field import GF2mField
 from repro.galois.pentanomials import (
@@ -136,7 +136,6 @@ class TestRegistry:
     def test_custom_backends_can_register(self):
         class NegatingBackend(FieldBackend):
             name = "negating-test"
-            capabilities = BackendCapabilities(False, False, 1)
 
             def multiply(self, a, b):
                 return self.field.multiply(a, b)
@@ -167,7 +166,6 @@ class TestParityNIST:
     def test_parity_harness_catches_mismatches(self):
         class BrokenBackend(FieldBackend):
             name = "broken-test"
-            capabilities = BackendCapabilities(False, False, 1)
 
             def multiply(self, a, b):
                 return self.field.multiply(a, b) ^ 1
@@ -346,22 +344,17 @@ class TestBitslicedNetlist:
 
 class TestNumpyDegradation:
     def test_clear_import_error_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(bitslice_module, "_np", None)
+        monkeypatch.setattr(planes_module, "_np", None)
         assert not bitslice_module.numpy_available()
         with pytest.raises(ImportError, match="pip install numpy"):
             bitslice_module.BitsliceBackend(GF2_16)
         with pytest.raises(ImportError, match="bitslice"):
             bitslice_module._require_numpy()
+        with pytest.raises(ImportError, match="pip install numpy"):
+            planes_module.PlaneProgram([1])
 
 
 class TestCapabilities:
     @pytest.mark.parametrize("name", _backends())
     def test_capabilities_and_describe(self, name):
-        backend = get_backend(name, GF2_16)
-        capabilities = backend.capabilities
-        assert capabilities.min_efficient_batch >= 1
-        assert backend.describe()
-        if name == "python":
-            assert not capabilities.vectorized and not capabilities.compiled
-        else:
-            assert capabilities.vectorized and capabilities.compiled
+        assert get_backend(name, GF2_16).describe()

@@ -8,6 +8,7 @@ from repro.engine import Engine, compile_netlist, engine_for, engine_for_netlist
 from repro.galois.field import GF2mField
 from repro.galois.pentanomials import type_ii_pentanomial
 from repro.multipliers.registry import ALL_GENERATORS, generate_multiplier
+from repro.netlist.netlist import Netlist
 from repro.netlist.simulate import multiply_with_netlist, multiply_words, simulate_words
 
 MODULUS = type_ii_pentanomial(13, 5)
@@ -22,16 +23,14 @@ def random_pairs(m, count, seed):
 
 
 class TestCompiledNetlist:
-    @pytest.mark.parametrize("mode", ["exec", "arrays"])
-    def test_compiled_matches_interpreter(self, mode):
+    def test_compiled_matches_interpreter(self):
         multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
-        compiled = compile_netlist(multiplier.netlist, mode=mode)
+        compiled = compile_netlist(multiplier.netlist)
         a_values, b_values = random_pairs(13, 200, seed=7)
-        engine = Engine(multiplier, mode=mode)
+        engine = Engine(multiplier)
         assert engine.multiply_batch(a_values, b_values) == simulate_words(
             multiplier.netlist, 13, a_values, b_values
         )
-        assert compiled.mode == mode
         assert compiled.gate_count == compiled.and_count + compiled.xor_count
         assert compiled.level_count > 1
 
@@ -40,21 +39,69 @@ class TestCompiledNetlist:
         compiled = compile_netlist(multiplier.netlist)
         assert compiled.node_count <= multiplier.netlist.node_count
 
-    def test_source_is_inspectable_in_exec_mode(self):
+    def test_source_is_inspectable(self):
         multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
-        assert "def _netlist_eval" in compile_netlist(multiplier.netlist, mode="exec").source
-        assert compile_netlist(multiplier.netlist, mode="arrays").source is None
-
-    def test_unknown_mode_rejected(self):
-        multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
-        with pytest.raises(ValueError):
-            compile_netlist(multiplier.netlist, mode="jit")
+        assert "def _netlist_eval" in compile_netlist(multiplier.netlist).source
 
     def test_input_word_count_validated(self):
         multiplier = generate_multiplier("thiswork", MODULUS, verify=False)
         compiled = compile_netlist(multiplier.netlist)
         with pytest.raises(ValueError):
             compiled.evaluate([1, 2, 3])
+
+
+def _edge_netlist(case):
+    """A hand-built m=2 netlist and the product word it must compute."""
+    netlist = Netlist(name=case)
+    a0, a1, b0, b1 = (netlist.add_input(name) for name in ("a0", "a1", "b0", "b1"))
+    bit = lambda word, i: (word >> i) & 1  # noqa: E731
+    if case == "constant_zero_output":
+        outputs = (netlist.and2(a0, b0), netlist.const0())
+        expect = lambda a, b: bit(a, 0) & bit(b, 0)  # noqa: E731
+    elif case == "output_wired_to_input":
+        outputs = (a1, netlist.and2(a1, b1))
+        expect = lambda a, b: bit(a, 1) | (bit(a, 1) & bit(b, 1)) << 1  # noqa: E731
+    elif case == "dead_input":
+        outputs = (netlist.and2(a0, b0), netlist.and2(a1, b0))  # b1 reaches nothing
+        expect = lambda a, b: (bit(a, 0) | bit(a, 1) << 1) * bit(b, 0)  # noqa: E731
+    elif case == "xor_only_level":
+        outputs = (netlist.xor2(a0, b0), netlist.xor2(netlist.xor2(a0, b1), netlist.xor2(a1, b0)))
+        expect = lambda a, b: (  # noqa: E731
+            (bit(a, 0) ^ bit(b, 0)) | (bit(a, 0) ^ bit(b, 1) ^ bit(a, 1) ^ bit(b, 0)) << 1
+        )
+    else:  # full a_i x b_j plane next to a level-1 XOR of inputs
+        products = {(i, j): netlist.and2(a, b) for i, a in enumerate((a0, a1)) for j, b in enumerate((b0, b1))}
+        outputs = (
+            netlist.xor_reduce([products[0, 0], products[1, 1], netlist.xor2(a0, b1)]),
+            netlist.xor2(products[0, 1], products[1, 0]),
+        )
+        expect = lambda a, b: (  # noqa: E731
+            (bit(a, 0) & bit(b, 0) ^ bit(a, 1) & bit(b, 1) ^ bit(a, 0) ^ bit(b, 1))
+            | (bit(a, 0) & bit(b, 1) ^ bit(a, 1) & bit(b, 0)) << 1
+        )
+    for k, node in enumerate(outputs):
+        netlist.add_output(f"c{k}", node)
+    return netlist, expect
+
+
+class TestEdgeNetlists:
+    """The interpreter, the engine and the bitsliced segments agree on edge shapes."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["constant_zero_output", "output_wired_to_input", "dead_input", "xor_only_level", "raster_plane"],
+    )
+    def test_all_evaluators_agree(self, case):
+        pytest.importorskip("numpy")
+        from repro.backends.bitslice import BitslicedNetlist
+
+        netlist, expect = _edge_netlist(case)
+        a_values = [a for a in range(4) for _ in range(4)]
+        b_values = [b for _ in range(4) for b in range(4)]
+        expected = [expect(a, b) for a, b in zip(a_values, b_values)]
+        assert simulate_words(netlist, 2, a_values, b_values) == expected
+        assert Engine(netlist=netlist, m=2).multiply_batch(a_values, b_values) == expected
+        assert BitslicedNetlist(netlist, 2).multiply_batch(a_values, b_values) == expected
 
 
 class TestEngineEquivalence:
@@ -65,13 +112,6 @@ class TestEngineEquivalence:
         products = engine.multiply_batch(a_values, b_values)
         for a, b, product in zip(a_values, b_values, products):
             assert product == FIELD.multiply(a, b), (method, a, b)
-
-    @pytest.mark.parametrize("method", ["thiswork", "schoolbook"])
-    def test_exec_and_arrays_modes_agree(self, method):
-        a_values, b_values = random_pairs(13, 128, seed=3)
-        compiled = engine_for(method, MODULUS, mode="exec").multiply_batch(a_values, b_values)
-        flat = engine_for(method, MODULUS, mode="arrays").multiply_batch(a_values, b_values)
-        assert compiled == flat
 
 
 class TestBatchAPI:
@@ -133,7 +173,6 @@ class TestEngineConstruction:
 
     def test_engine_for_is_cached(self):
         assert engine_for("thiswork", MODULUS) is engine_for("thiswork", MODULUS)
-        assert engine_for("thiswork", MODULUS) is not engine_for("thiswork", MODULUS, mode="arrays")
 
     def test_engine_for_verify_upgrade_survives_engine_cache(self):
         from repro.engine import default_multiplier_cache

@@ -622,6 +622,13 @@ class TestCryptoService:
                 cases[f"content_length_{length}"] = await _raw_request(
                     port, f"POST /keygen HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
                 )
+            cases["long_request_line"] = await _raw_request(
+                port, b"GET /" + b"x" * 70000 + b" HTTP/1.1\r\n\r\n"
+            )
+            cases["long_header"] = await _raw_request(
+                port, b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"y" * 70000 + b"\r\n\r\n"
+            )
+            cases["health_after"] = await http_get("127.0.0.1", port, "/healthz")
             cases["stats"] = await http_get("127.0.0.1", port, "/stats")
             return cases
 
@@ -637,6 +644,9 @@ class TestCryptoService:
         assert cases["missing_field"][0] == 400
         for length in ("abc", "-5"):
             assert cases[f"content_length_{length}"] == (400, {"error": "bad Content-Length"})
+        for oversized in ("long_request_line", "long_header"):
+            assert cases[oversized] == (400, {"error": "request line or header too long"})
+        assert cases["health_after"][0] == 200 and cases["health_after"][1]["status"] == "ok"
         stats = cases["stats"][1]
         assert stats["queue_depth"] == 0
         assert set(stats["flush_reasons"]) == {"size", "idle", "deadline", "close"}
